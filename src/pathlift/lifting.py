@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 from .errors import PreconditionError
 from .omega import ONE, ZERO, IntervalSet
-from .prokhorov import prokhorov
-from .randomvars import SimpleRandomVariable, kyfan_rho, law, match_to_law
+from .prokhorov import prokhorov, prokhorov_coupling
+from .randomvars import SimpleRandomVariable, kyfan_rho, law, match_to_law, realize_coupling
 from .spaces import FiniteMetricSpace, Measure, mixture, same_space
 
 DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
@@ -337,15 +337,16 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> LiftedP
         raise PreconditionError("target path differs from prev's law at t = 0")
     if beta.vertices[-1] != law(snapshots[grid[-1]]):
         raise PreconditionError("target path differs from prev's law at t = 1")
-    for t in grid:
-        gap = prokhorov(law(snapshots[t]), beta.eval(t))
+    # the endpoint gaps are 0 by the checks above; each interior point's
+    # coupling serves both the budget check and the match
+    variables = [snapshots[grid[0]]]
+    for t in grid[1:-1]:
+        gap, witness = prokhorov_coupling(law(snapshots[t]), beta.eval(t))
         if gap > eps:
             raise PreconditionError(
                 f"law gap {gap} at t = {t} exceeds the declared budget {eps}"
             )
-    variables = [snapshots[grid[0]]]
-    for t in grid[1:-1]:
-        variables.append(match_to_law(snapshots[t], beta.eval(t)))
+        variables.append(realize_coupling(snapshots[t], witness))
     variables.append(snapshots[grid[-1]])
     segments = tuple(
         segment_lift(variables[i], variables[i + 1], grid[i], grid[i + 1])

@@ -5,7 +5,13 @@ the two measures: for each threshold interval between consecutive
 distinct distances it computes, by exact bipartite max-flow, the largest
 mass routable through point pairs closer than the threshold, and takes
 the best feasible epsilon.  It returns the optimal value together with a
-deterministic witness coupling attaining it.
+deterministic witness coupling attaining it.  The flow runs on integer
+capacities (both measures scaled by one common denominator) and admits
+the pairs of one distance level of the space per interval, so each call
+does one O(m^2) BFS per augmentation and no rescan of the m^2 pairs per
+threshold.  ``kyfan_functional`` costs O(m^2) per call: one descending
+sweep over the same distance levels.  ``prokhorov`` returns 0 without a
+max-flow when the two measures are equal.
 
 ``prokhorov_subsets`` is the enumeration oracle over the defining
 inequalities mu(A) <= nu(A^eps) + eps for every subset A of the (finite)
@@ -17,11 +23,13 @@ instances).
 
 from __future__ import annotations
 
+import bisect
+import math
 from collections import deque
 from fractions import Fraction
 
 from .errors import InvariantError, PreconditionError
-from .omega import ONE, ZERO
+from .omega import ZERO
 from .spaces import CouplingMatrix, Measure, same_space
 
 SUBSET_ORACLE_LIMIT = 16
@@ -53,96 +61,99 @@ def _upward_infimum(cuts: list[Fraction], values: list[Fraction]) -> Fraction:
 
 
 def kyfan_functional(pi: CouplingMatrix) -> Fraction:
-    """inf{eps > 0 : pi{(x, y) : d(x, y) >= eps} <= eps}, exact."""
-    space = pi.space
-    m = space.size
-    cuts = space.distinct_distances()
-    values = []
-    for cut in cuts:
-        tail = ZERO
-        for i in range(m):
-            for j in range(m):
-                if space.dist[i][j] >= cut:
-                    tail += pi.mass[i][j]
-        values.append(tail)
-    values.append(ZERO)
-    return _upward_infimum(cuts, values)
+    """inf{eps > 0 : pi{(x, y) : d(x, y) >= eps} <= eps}, exact.
+
+    One descending sweep over the space's distance levels accumulates
+    the tail masses pi{d >= cut}: O(m^2) additions per call.
+    """
+    levels = pi.space.distance_levels
+    mass = pi.mass
+    values = [ZERO] * (len(levels) + 1)
+    tail = ZERO
+    for k in range(len(levels) - 1, -1, -1):
+        for i, j in levels[k][1]:
+            if mass[i][j]:
+                tail += mass[i][j]
+        values[k] = tail
+    return _upward_infimum([cut for cut, _ in levels], values)
 
 
 class _FlowState:
-    """Bipartite max-flow with exact capacities, warm-started as the
+    """Bipartite max-flow on integer capacities, warm-started as the
     allowed edge set grows.  Rows feed from the source with capacities
-    mu, columns drain to the sink with capacities nu; allowed row-column
-    edges are uncapacitated."""
+    mu, columns drain to the sink with capacities nu, both scaled by one
+    common denominator; allowed row-column edges are uncapacitated.
+    Row and column slacks are kept up to date as flow is pushed."""
 
-    def __init__(self, mu_w, nu_w):
-        self.m = len(mu_w)
-        self.mu_w = list(mu_w)
-        self.nu_w = list(nu_w)
-        self.flow = [[ZERO] * self.m for _ in range(self.m)]
-        self.allowed = [[False] * self.m for _ in range(self.m)]
-        self.value = ZERO
+    def __init__(self, row_caps: list[int], col_caps: list[int]):
+        self.m = len(row_caps)
+        self.row_slack = list(row_caps)
+        self.col_slack = list(col_caps)
+        self.flow = [[0] * self.m for _ in range(self.m)]
+        # allowed columns per row, ascending; pairs at distance 0 from the start
+        self.adjacent = [[i] for i in range(self.m)]
+        self.value = 0
 
-    def row_slack(self, i):
-        return self.mu_w[i] - sum(self.flow[i], ZERO)
+    def allow(self, i: int, j: int) -> None:
+        bisect.insort(self.adjacent[i], j)
 
-    def col_slack(self, j):
-        return self.nu_w[j] - sum((self.flow[i][j] for i in range(self.m)), ZERO)
+    def _augment_once(self) -> int:
+        """One BFS round; returns the pushed amount (0 when optimal).
 
-    def allow(self, i, j):
-        self.allowed[i][j] = True
-
-    def _augment_once(self):
-        """One BFS round; returns the pushed amount (0 when optimal)."""
+        Nodes are rows 0..m-1 and columns m..2m-1, visited in FIFO order
+        with columns of a row scanned in increasing index."""
         m = self.m
-        row_slack = [self.row_slack(i) for i in range(m)]
-        col_slack = [self.col_slack(j) for j in range(m)]
-        # parent[('r', i)] / parent[('c', j)] traces the augmenting path
-        parent = {}
+        flow, row_slack, col_slack = self.flow, self.row_slack, self.col_slack
+        row_from = [None] * m  # -1: the source, else the column it was reached from
+        col_from = [None] * m  # the row each column was reached from
         queue = deque()
         for i in range(m):
-            if row_slack[i] > ZERO:
-                parent[("r", i)] = None
-                queue.append(("r", i))
+            if row_slack[i] > 0:
+                row_from[i] = -1
+                queue.append(i)
         target = None
         while queue and target is None:
-            kind, idx = queue.popleft()
-            if kind == "r":
-                for j in range(m):
-                    if self.allowed[idx][j] and ("c", j) not in parent:
-                        parent[("c", j)] = ("r", idx)
-                        if col_slack[j] > ZERO:
-                            target = ("c", j)
+            node = queue.popleft()
+            if node < m:
+                for j in self.adjacent[node]:
+                    if col_from[j] is None:
+                        col_from[j] = node
+                        if col_slack[j] > 0:
+                            target = j
                             break
-                        queue.append(("c", j))
+                        queue.append(m + j)
             else:
+                j = node - m
                 for i in range(m):
-                    if self.flow[i][idx] > ZERO and ("r", i) not in parent:
-                        parent[("r", i)] = ("c", idx)
-                        queue.append(("r", i))
+                    if flow[i][j] > 0 and row_from[i] is None:
+                        row_from[i] = j
+                        queue.append(i)
         if target is None:
-            return ZERO
-        # bottleneck along source -> ... -> target
+            return 0
+        # walk back to the source: forward edge row -> column, backward
+        # edge column -> row (cancels flow on (row, column))
         path = []
-        node = target
-        while parent[node] is not None:
-            path.append((parent[node], node))
-            node = parent[node]
-        start_row = node[1]
-        bottleneck = min(row_slack[start_row], col_slack[target[1]])
-        for a, b in path:
-            if a[0] == "c" and b[0] == "r":
-                bottleneck = min(bottleneck, self.flow[b[1]][a[1]])
-        for a, b in path:
-            if a[0] == "r" and b[0] == "c":
-                self.flow[a[1]][b[1]] += bottleneck
-            else:
-                self.flow[b[1]][a[1]] -= bottleneck
+        j = target
+        while True:
+            start = col_from[j]
+            path.append((start, j, True))
+            if row_from[start] == -1:
+                break
+            j = row_from[start]
+            path.append((start, j, False))
+        bottleneck = min(row_slack[start], col_slack[target])
+        for i, j, forward in path:
+            if not forward:
+                bottleneck = min(bottleneck, flow[i][j])
+        for i, j, forward in path:
+            flow[i][j] += bottleneck if forward else -bottleneck
+        row_slack[start] -= bottleneck
+        col_slack[target] -= bottleneck
         self.value += bottleneck
         return bottleneck
 
-    def maximize(self):
-        while self._augment_once() > ZERO:
+    def maximize(self) -> int:
+        while self._augment_once() > 0:
             pass
         return self.value
 
@@ -153,26 +164,33 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
     The witness is deterministic: threshold intervals are scanned in
     increasing order with a warm-started max-flow, and leftover mass is
     distributed by northwest-corner filling over the marginal deficits.
+    The flow runs on integers: mu and nu scaled by their common
+    denominator, one distance level of edges admitted per interval.
+    Augmenting paths depend only on sign tests and minima, which a
+    positive scale leaves unchanged, so the witness is the same matrix
+    as with Fraction capacities.
     """
     same_space(mu.space, nu.space)
     space = mu.space
     m = space.size
-    cuts = space.distinct_distances()
-    state = _FlowState(mu.weights, nu.weights)
+    levels = space.distance_levels
+    den = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
+    row_caps = [w.numerator * (den // w.denominator) for w in mu.weights]
+    col_caps = [w.numerator * (den // w.denominator) for w in nu.weights]
+    state = _FlowState(row_caps, col_caps)
 
     best = None          # (value, flow snapshot)
     lo = ZERO
-    for k in range(len(cuts) + 1):
-        hi = cuts[k] if k < len(cuts) else None
+    for k in range(len(levels) + 1):
+        hi = levels[k][0] if k < len(levels) else None
         if best is not None and lo >= best[0]:
             break  # candidates only grow with the interval's left edge
         # edges with d <= lo are available throughout (lo, hi]
-        for i in range(m):
-            for j in range(m):
-                if not state.allowed[i][j] and space.dist[i][j] <= lo:
-                    state.allow(i, j)
+        if k > 0:
+            for i, j in levels[k - 1][1]:
+                state.allow(i, j)
         routed = state.maximize()
-        cand = max(lo, ONE - routed)
+        cand = max(lo, Fraction(den - routed, den))
         if (hi is None or cand <= hi) and (best is None or cand < best[0]):
             best = (cand, [row[:] for row in state.flow])
         if hi is not None:
@@ -181,25 +199,25 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
         raise InvariantError("no feasible threshold interval for the coupling scan")
     value, flow = best
     # complete the witness: route marginal deficits northwest-corner
-    row_rem = [mu.weights[i] - sum(flow[i], ZERO) for i in range(m)]
-    col_rem = [
-        nu.weights[j] - sum((flow[i][j] for i in range(m)), ZERO) for j in range(m)
-    ]
+    row_rem = [row_caps[i] - sum(flow[i]) for i in range(m)]
+    col_rem = [col_caps[j] - sum(flow[i][j] for i in range(m)) for j in range(m)]
     i = j = 0
     while i < m and j < m:
-        if row_rem[i] == ZERO:
+        if row_rem[i] == 0:
             i += 1
             continue
-        if col_rem[j] == ZERO:
+        if col_rem[j] == 0:
             j += 1
             continue
         push = min(row_rem[i], col_rem[j])
         flow[i][j] += push
         row_rem[i] -= push
         col_rem[j] -= push
-    if any(r != ZERO for r in row_rem) or any(c != ZERO for c in col_rem):
+    if any(row_rem) or any(col_rem):
         raise InvariantError("witness coupling does not match the marginals")
-    witness = CouplingMatrix(space, tuple(tuple(row) for row in flow))
+    witness = CouplingMatrix(
+        space, tuple(tuple(Fraction(x, den) for x in row) for row in flow)
+    )
     attained = kyfan_functional(witness)
     if attained != value:
         raise InvariantError(
@@ -209,7 +227,9 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
 
 
 def prokhorov(mu: Measure, nu: Measure) -> Fraction:
-    """The Prokhorov distance alone."""
+    """The Prokhorov distance alone; 0 without a max-flow when mu == nu."""
+    if mu == nu:
+        return ZERO
     return prokhorov_coupling(mu, nu)[0]
 
 

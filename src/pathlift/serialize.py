@@ -63,12 +63,16 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_obj(obj: Any) -> FiniteMetricSpace:
+    """Read the "space" entry of a document."""
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise PreconditionError('space must be {"points": [...], "dist": [[...]]}')
     points = obj["points"]
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise PreconditionError("space points must be strings")
-    dist = [[parse_frac(x) for x in row] for row in obj["dist"]]
+    rows = obj["dist"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise PreconditionError(f"space.dist must be a list of rows, got {rows!r}")
+    dist = [[parse_frac(x) for x in row] for row in rows]
     return validate_space(points, dist)
 
 
@@ -214,8 +218,15 @@ def lift_from_obj(obj: Any) -> LiftedPath:
     if not isinstance(obj, dict) or "space" not in obj or "segments" not in obj:
         raise PreconditionError('lift must be {"space": ..., "segments": [...]}')
     space = space_from_obj(obj["space"])
+    if not isinstance(obj["segments"], list):
+        raise PreconditionError("segments must be a list")
     segments = []
-    for seg in obj["segments"]:
+    for k, seg in enumerate(obj["segments"]):
+        if not isinstance(seg, dict):
+            raise PreconditionError(f"segments[{k}] must be an object")
+        for key in ("a", "b", "x", "y"):
+            if key not in seg:
+                raise PreconditionError(f'segments[{k}] has no "{key}"')
         segments.append(
             SegmentLift(
                 parse_frac(seg["a"]),

@@ -2,12 +2,19 @@
 
 Points carry string identifiers; distances and weights are exact
 Fractions.  Metric axioms are validated at construction with a witness
-in the error message.
+in the error message; the O(m^3) triangle check runs on integers, the
+distances scaled by their common denominator.  Each space also sorts its
+distances once, on first use: ``distance_levels`` lists the distinct
+positive distances with the point pairs at each, which the Ky Fan
+functional and the Prokhorov max-flow sweep instead of rescanning all
+m^2 pairs per threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,10 +51,13 @@ class FiniteMetricSpace:
                     raise PreconditionError(
                         f"non-positive distance: d({p[i]},{p[j]}) = {d[i][j]}"
                     )
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if d[i][k] > d[i][j] + d[j][k]:
+        den = math.lcm(*(x.denominator for row in d for x in row))
+        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in d]
+        for i, row_i in enumerate(scaled):
+            for j, row_j in enumerate(scaled):
+                via = row_i[j]
+                for k, direct in enumerate(row_i):
+                    if direct > via + row_j[k]:
                         raise PreconditionError(
                             f"triangle violation ({p[i]},{p[j]},{p[k]}): "
                             f"{d[i][k]} > {d[i][j]} + {d[j][k]}"
@@ -63,10 +73,21 @@ class FiniteMetricSpace:
         except ValueError:
             raise PreconditionError(f"unknown point {point!r}") from None
 
+    @cached_property
+    def distance_levels(self) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]:
+        """The distinct positive distances in increasing order, each with
+        the ordered pairs (i, j), i != j, at that distance.  Computed once
+        per space; equality and hashing stay on the fields."""
+        pairs: dict[Fraction, list[tuple[int, int]]] = {}
+        for i, row in enumerate(self.dist):
+            for j, x in enumerate(row):
+                if i != j:
+                    pairs.setdefault(x, []).append((i, j))
+        return tuple((x, tuple(pairs[x])) for x in sorted(pairs))
+
     def distinct_distances(self) -> list[Fraction]:
         """Sorted distinct positive distances."""
-        vals = {self.dist[i][j] for i in range(self.size) for j in range(i + 1, self.size)}
-        return sorted(vals)
+        return [x for x, _ in self.distance_levels]
 
 
 def validate_space(points: Sequence[str], dist: Sequence[Sequence[Fraction]]) -> FiniteMetricSpace:

@@ -6,12 +6,13 @@ calling the library code paths they check.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from pathlift import IntervalSet, Measure, SimpleRandomVariable, validate_space
+from pathlift import CouplingMatrix, IntervalSet, Measure, SimpleRandomVariable, validate_space
 from pathlift.omega import ONE, ZERO
 
 F = Fraction
@@ -44,6 +45,40 @@ def rho_scan_oracle(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Fractio
                 best = cand
         lo = cut
     return best
+
+
+def kyfan_bruteforce(pi: CouplingMatrix) -> Fraction:
+    """Ky Fan functional by rescanning every pair at every threshold,
+    O(m^2 * #distances): the tail mass pi{d >= cut} for each distinct
+    distance, then the least feasible threshold candidate."""
+    space = pi.space
+    m = space.size
+    cuts = sorted({space.dist[i][j] for i in range(m) for j in range(m) if i != j})
+    best = None
+    lo = ZERO
+    for cut in cuts + [None]:
+        tail = ZERO
+        if cut is not None:
+            for i in range(m):
+                for j in range(m):
+                    if space.dist[i][j] >= cut:
+                        tail += pi.mass[i][j]
+        cand = max(lo, tail)
+        if (cut is None or cand <= cut) and (best is None or cand < best):
+            best = cand
+        lo = cut
+    return best
+
+
+def distinct_space(rng: random.Random, m: int):
+    """m points with distances in [1/2, 1], nearly all distinct, over a
+    mix of denominators (a factor-two ratio makes every triangle hold)."""
+    d = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            den = rng.choice((2 * 7 * 11, 2 * 9 * 13, 2 * 1009))
+            d[i][j] = d[j][i] = Fraction(rng.randint(den // 2, den), den)
+    return validate_space([f"p{i:02d}" for i in range(m)], d)
 
 
 def vertex_couplings(mu: Measure, nu: Measure) -> list[tuple[tuple[Fraction, ...], ...]]:

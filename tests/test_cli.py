@@ -243,6 +243,28 @@ class TestCubeCommand:
         assert "dimension" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    def test_dist_not_a_matrix_exit_two(self, tmp_path, capsys):
+        doc = {"space": {"points": ["a", "b"], "dist": 5}, "weights": ["1/2", "1/2"]}
+        mu_file = write(tmp_path / "mu.json", doc)
+        assert main(["prokhorov", mu_file, mu_file]) == 2
+        assert "space.dist" in capsys.readouterr().err
+
+    def test_segment_without_b_exit_two(self, tmp_path, capsys):
+        rng = random.Random(67)
+        space = gen.rand_space(rng, 3)
+        beta = gen.rand_polygonal(rng, space, 3)
+        lift = lift_polygonal(
+            beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
+        )
+        doc = lift_to_obj(lift)
+        del doc["segments"][1]["b"]
+        lf = write(tmp_path / "lift.json", doc)
+        pf = write(tmp_path / "path.json", polygonal_to_obj(beta))
+        assert main(["verify", lf, pf]) == 2
+        assert 'segments[1] has no "b"' in capsys.readouterr().err
+
+
 class TestSelftestCommand:
     def test_passes_and_prints_suites(self, capsys):
         assert main(["selftest", "--seed", "0"]) == 0

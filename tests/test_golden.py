@@ -1,0 +1,206 @@
+"""Golden digests of CLI reports.
+
+Each case writes seeded inputs built with ``pathlift.gen``, runs one CLI
+subcommand in-process and compares the sha256 of its ``--out`` report
+with the digest recorded in ``golden/digests.json``.  Changes to the
+arithmetic must keep every report byte-identical.  After an intended
+change of output, record the digests again with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from helpers import distinct_space
+from pathlift import canonical_rv, lift_polygonal, match_to_law, mixture
+from pathlift import gen
+from pathlift.cli import main
+from pathlift.lifting import PolygonalPath
+from pathlift.serialize import (
+    blocks_to_obj,
+    dumps,
+    lift_to_obj,
+    measure_to_obj,
+    polygonal_to_obj,
+    sampled_to_obj,
+    space_to_obj,
+    weights_to_obj,
+)
+
+F = Fraction
+DIGESTS = Path(__file__).with_name("golden") / "digests.json"
+
+
+def _write(directory, name, obj):
+    path = directory / name
+    path.write_text(dumps(obj))
+    return str(path)
+
+
+def _rv_file(directory, name, x):
+    return _write(directory, name, {"space": space_to_obj(x.space), "blocks": blocks_to_obj(x)})
+
+
+def _perturbed(rng, beta, eps):
+    """beta with interior vertices mixed toward random measures by <= eps."""
+    verts = [beta.vertices[0]]
+    for v in beta.vertices[1:-1]:
+        verts.append(mixture(v, gen.rand_measure(rng, beta.space), eps * rng.randint(1, 4) / 4))
+    verts.append(beta.vertices[-1])
+    return PolygonalPath(beta.space, beta.breakpoints, tuple(verts))
+
+
+def _prokhorov_pair(directory, space, mu, nu):
+    return [
+        "prokhorov",
+        _write(directory, "mu.json", measure_to_obj(mu)),
+        _write(directory, "nu.json", measure_to_obj(nu)),
+    ]
+
+
+def case_prokhorov_oracle(rng, directory):
+    space = gen.rand_space(rng, 7)
+    mu = gen.rand_measure(rng, space, den=35)
+    nu = gen.rand_measure(rng, space, den=33)
+    return _prokhorov_pair(directory, space, mu, nu)
+
+
+def case_prokhorov_wide(rng, directory):
+    space = distinct_space(rng, 20)
+    mu = gen.rand_measure(rng, space, den=91)
+    nu = gen.rand_measure(rng, space, den=99)
+    return _prokhorov_pair(directory, space, mu, nu)
+
+
+def case_kyfan(rng, directory):
+    space = gen.rand_space(rng, 5)
+    x, y = gen.rand_rv(rng, space), gen.rand_rv(rng, space)
+    return ["kyfan", _rv_file(directory, "x.json", x), _rv_file(directory, "y.json", y)]
+
+
+def case_match(rng, directory):
+    space = gen.rand_space(rng, 6)
+    x = gen.rand_rv(rng, space, slabs=10)
+    nu = gen.rand_measure(rng, space, den=39)
+    return [
+        "match",
+        _rv_file(directory, "x.json", x),
+        _write(directory, "nu.json", measure_to_obj(nu)),
+    ]
+
+
+def case_segment(rng, directory):
+    space = gen.rand_space(rng, 4)
+    x, y = gen.rand_rv(rng, space), gen.rand_rv(rng, space)
+    return ["segment", _rv_file(directory, "x.json", x), _rv_file(directory, "y.json", y), "--grid", "9"]
+
+
+def _endpoints(directory, space, start, end):
+    return _write(
+        directory,
+        "ends.json",
+        {"space": space_to_obj(space), "start": blocks_to_obj(start), "end": blocks_to_obj(end)},
+    )
+
+
+def case_lift_polygonal(rng, directory):
+    space = gen.rand_space(rng, 3)
+    beta = gen.rand_polygonal(rng, space, 4)
+    start = canonical_rv(beta.vertices[0])
+    end = match_to_law(gen.rand_rv(rng, space), beta.vertices[-1])
+    return [
+        "lift",
+        _write(directory, "path.json", polygonal_to_obj(beta)),
+        _endpoints(directory, space, start, end),
+        "--grid", "9",
+    ]
+
+
+def case_lift_sampled(rng, directory):
+    space = gen.rand_space(rng, 3)
+    alpha = gen.rand_sampled(rng, space, max_lipschitz=2)
+    start = canonical_rv(alpha.eval(F(0)))
+    end = match_to_law(gen.rand_rv(rng, space), alpha.eval(F(1)))
+    return [
+        "lift",
+        _write(directory, "path.json", sampled_to_obj(alpha)),
+        _endpoints(directory, space, start, end),
+        "--tol", "1/6", "--iters", "2", "--grid", "9",
+    ]
+
+
+def _polygonal_lift_files(rng, directory):
+    space = gen.rand_space(rng, 3)
+    beta = gen.rand_polygonal(rng, space, 3)
+    lift = lift_polygonal(beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1]))
+    eps = F(1, 4)
+    target = _perturbed(rng, beta, eps)
+    return (
+        _write(directory, "lift.json", lift_to_obj(lift)),
+        _write(directory, "path.json", polygonal_to_obj(target)),
+        eps,
+    )
+
+
+def case_relift(rng, directory):
+    lift_file, path_file, eps = _polygonal_lift_files(rng, directory)
+    return ["relift", lift_file, path_file, "--tol", f"{eps.numerator}/{eps.denominator}", "--grid", "9"]
+
+
+def case_verify(rng, directory):
+    lift_file, path_file, eps = _polygonal_lift_files(rng, directory)
+    return ["verify", lift_file, path_file, "--tol", f"{eps.numerator}/{eps.denominator}", "--grid", "9"]
+
+
+def case_cube(rng, directory):
+    space = gen.rand_space(rng, 4)
+    corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(4)]
+    return [
+        "cube",
+        _write(directory, "corners.json", {"space": space_to_obj(space), "corners": corners}),
+        "--grid", "3",
+    ]
+
+
+CASES = {
+    name[len("case_"):]: fn for name, fn in sorted(globals().items()) if name.startswith("case_")
+}
+SEEDS = (1, 2, 3)
+
+
+def report_digest(name: str, seed: int) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        argv = CASES[name](random.Random(f"golden:{name}:{seed}"), directory)
+        out = directory / "report.json"
+        code = main(argv + ["--out", str(out)])
+        if code != 0:
+            raise AssertionError(f"{name} seed {seed}: exit {code}")
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def all_digests() -> dict[str, str]:
+    return {f"{name}:{seed}": report_digest(name, seed) for name in CASES for seed in SEEDS}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_digest(name):
+    golden = json.loads(DIGESTS.read_text())
+    for seed in SEEDS:
+        assert report_digest(name, seed) == golden[f"{name}:{seed}"], f"{name} seed {seed}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_golden.py --record")
+    DIGESTS.write_text(json.dumps(all_digests(), indent=2, sort_keys=True) + "\n")

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from helpers import fractions01, space_with
+from helpers import distinct_space, fractions01, space_with
 from pathlift import Measure, PreconditionError, dirac, mixture, validate_space
 from pathlift.spaces import CouplingMatrix
 
@@ -24,6 +25,36 @@ class TestValidateSpace:
         ]
         with pytest.raises(PreconditionError, match="triangle violation"):
             validate_space(["a", "b", "c"], d)
+
+    def test_triangle_violation_witness_at_larger_sizes(self):
+        # the check runs on integers over the common denominator; the
+        # message still names the first violated triple as Fractions
+        rng = random.Random(316)
+        for m in range(5, 17):
+            space = distinct_space(rng, m)
+            d = [list(row) for row in space.dist]
+            # stretch d(i, k) just past its shortest detour, so that few
+            # triples break; every other size puts k on the last point
+            k = m - 1 if m % 2 else rng.randrange(1, m)
+            i = rng.randrange(k)
+            detour = min(d[i][j] + d[j][k] for j in range(m) if j not in (i, k))
+            d[i][k] = d[k][i] = detour + F(1, 1000 * rng.choice((7, 9, 11, 13)))
+            p = space.points
+            first = next(
+                (a, b, c)
+                for a in range(m)
+                for b in range(m)
+                for c in range(m)
+                if d[a][c] > d[a][b] + d[b][c]
+            )
+            a, b, c = first
+            expected = (
+                f"triangle violation ({p[a]},{p[b]},{p[c]}): "
+                f"{d[a][c]} > {d[a][b]} + {d[b][c]}"
+            )
+            with pytest.raises(PreconditionError) as exc:
+                validate_space(p, d)
+            assert str(exc.value) == expected
 
     def test_asymmetry(self):
         with pytest.raises(PreconditionError, match="asymmetry"):
