@@ -9,7 +9,7 @@ of Lipschitz measure paths, and multi-affine cube liftings, all with
 certificates stating the verified identities and bounds as rationals.
 """
 
-from .cube import CubeInterpolation, CubeLift, g_eval, g_lift_eval
+from .cube import CubeInterpolation, CubeLift, g_eval
 from .errors import InvariantError, PreconditionError
 from .lifting import (
     Certificate,
@@ -20,12 +20,11 @@ from .lifting import (
     approximate_polygonal,
     lift_path,
     lift_polygonal,
-    polygonal_eval,
     relift_near,
     segment_lift,
     verify_lift,
 )
-from .omega import IntervalSet, inverse_prefix_mass
+from .omega import IntervalSet
 from .prokhorov import (
     kyfan_functional,
     prokhorov,
@@ -69,8 +68,6 @@ __all__ = [
     "canonical_rv",
     "dirac",
     "g_eval",
-    "g_lift_eval",
-    "inverse_prefix_mass",
     "joint_coupling",
     "kyfan_functional",
     "kyfan_rho",
@@ -79,7 +76,6 @@ __all__ = [
     "lift_polygonal",
     "match_to_law",
     "mixture",
-    "polygonal_eval",
     "prokhorov",
     "prokhorov_coupling",
     "prokhorov_subsets",

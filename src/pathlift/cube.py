@@ -1,13 +1,13 @@
 """Multi-affine interpolation of measures over [0, 1]^n and its lifting.
 
 With corner measures m_1, ..., m_{K}, the interpolation over the
-(K-1)-cube blends the previous level toward the last corner along the
-last coordinate.  The lifting mirrors this: the base level is the
-segment lift between the canonical variables of the first two corners,
-and each further level transfers mass toward the canonical variable of
-the next corner through families nested inside that variable's blocks
-(largest-s inversion of the prefix-mass map).  The pointwise law equals
-the interpolation exactly at every rational point.
+(K-1)-cube blends the previous level toward the next corner along each
+coordinate in turn.  The lifting mirrors this with iterated segment
+lifts: starting from the canonical variable of the first corner, each
+coordinate t moves the current level variable toward the canonical
+variable of the next corner by the segment lift over [0, 1] at time t.
+The pointwise law equals the interpolation exactly at every rational
+point.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, PreconditionError
-from .lifting import segment_lift, transfer_blocks
-from .omega import ONE, ZERO, IntervalSet, inverse_prefix_mass
+from .errors import PreconditionError
+from .lifting import segment_lift
+from .omega import ONE, ZERO
 from .randomvars import SimpleRandomVariable, canonical_rv
 from .spaces import FiniteMetricSpace, Measure, mixture, same_space
 
@@ -59,28 +59,6 @@ def g_eval(interp: CubeInterpolation, ts) -> Measure:
     return acc
 
 
-def _nested_transfer(
-    level: SimpleRandomVariable, corner_rv: SimpleRandomVariable, t: Fraction
-) -> SimpleRandomVariable:
-    """One inductive step: move mass from the level variable toward
-    corner_rv along families nested inside corner_rv's blocks."""
-    space = level.space
-    cells = [
-        [a.intersect(b) for b in corner_rv.blocks] for a in level.blocks
-    ]
-    masses = [[c.measure for c in row] for row in cells]
-
-    def fam(i: int, j: int, gamma: Fraction) -> IntervalSet:
-        base = corner_rv.blocks[j]
-        s = inverse_prefix_mass(cells[i][j], base, gamma)
-        part = cells[i][j].intersect(base.prefix(s))
-        if part.measure != gamma:
-            raise InvariantError("nested family missed its target mass")
-        return part
-
-    return transfer_blocks(space, cells, masses, fam, t)
-
-
 @dataclass(frozen=True)
 class CubeLift:
     interp: CubeInterpolation
@@ -90,14 +68,10 @@ class CubeLift:
         return self.interp.space
 
     def eval(self, ts) -> SimpleRandomVariable:
+        """Lifting twin of g_eval: one segment lift per coordinate."""
         ts = _check_point(self.interp, ts)
         corners = self.interp.corners
-        base = segment_lift(canonical_rv(corners[0]), canonical_rv(corners[1]), ZERO, ONE)
-        value = base.eval(ts[0])
-        for t, corner in zip(ts[1:], corners[2:]):
-            value = _nested_transfer(value, canonical_rv(corner), t)
+        value = canonical_rv(corners[0])
+        for t, corner in zip(ts, corners[1:]):
+            value = segment_lift(value, canonical_rv(corner), ZERO, ONE).eval(t)
         return value
-
-
-def g_lift_eval(interp: CubeInterpolation, ts) -> SimpleRandomVariable:
-    return CubeLift(interp).eval(ts)

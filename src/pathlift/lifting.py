@@ -36,21 +36,19 @@ def transfer_blocks(
     space: FiniteMetricSpace,
     cells: Sequence[Sequence[IntervalSet]],
     masses: Sequence[Sequence[Fraction]],
-    fam: Callable[[int, int, Fraction], IntervalSet],
     s: Fraction,
 ) -> SimpleRandomVariable:
     """Rearranged variable after moving mass s * masses[i][j] per cell.
 
-    ``fam(i, j, g)`` must return a subset of cells[i][j] of exact mass g,
-    monotone in g.  The moved part of cell (i, j) takes value j, the rest
-    keeps value i; diagonal cells never move.
+    The moved part of cell (i, j) is its leftmost prefix of that mass and
+    takes value j; the rest keeps value i.  Diagonal cells never move.
     """
     m = space.size
     moved: dict[tuple[int, int], IntervalSet] = {}
     for i in range(m):
         for j in range(m):
             if i != j:
-                moved[i, j] = fam(i, j, s * masses[i][j])
+                moved[i, j] = cells[i][j].prefix(s * masses[i][j])
     blocks = []
     for i in range(m):
         parts = [cells[i][i]]
@@ -97,14 +95,7 @@ class SegmentLift:
         if t < self.a or t > self.b:
             raise PreconditionError(f"time {t} outside [{self.a}, {self.b}]")
         s = (t - self.a) / (self.b - self.a)
-        cells = self.cells
-        return transfer_blocks(
-            self.space,
-            cells,
-            self.masses,
-            lambda i, j, g: cells[i][j].prefix(g),
-            s,
-        )
+        return transfer_blocks(self.space, self.cells, self.masses, s)
 
 
 def segment_lift(
@@ -142,10 +133,6 @@ class PolygonalPath:
         i = self.segment_index(t)
         lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
         return mixture(self.vertices[i], self.vertices[i + 1], (t - lo) / (hi - lo))
-
-
-def polygonal_eval(beta: PolygonalPath, t: Fraction) -> Measure:
-    return beta.eval(t)
 
 
 class SampledPath:

@@ -8,9 +8,8 @@ measure is an exact ``Fraction``.
 
 The space is nonatomic in a constructive sense, realized by "leftmost
 carving": ``prefix`` takes any requested mass from a set by walking it
-left to right, ``split`` cuts a set into consecutive slabs of prescribed
-masses, and ``inverse_prefix_mass`` inverts the piecewise-linear map
-s -> measure(A & prefix(B, s)) exactly.
+left to right, and ``split`` cuts a set into consecutive slabs of
+prescribed masses.
 
 Every operation normalizes its output (merging adjacent intervals), so
 interval counts never blow up beyond the input sizes, and each op runs
@@ -184,26 +183,6 @@ class IntervalSet:
                 remaining = ZERO
         return IntervalSet(tuple(out))
 
-    def drop_prefix(self, t: Fraction) -> "IntervalSet":
-        """The complement of prefix(t) inside self."""
-        t = Fraction(t)
-        if t < ZERO or t > self.measure:
-            raise PreconditionError(
-                f"prefix mass {t} outside [0, {self.measure}]"
-            )
-        out: list[Pair] = []
-        remaining = t
-        for left, right in self.intervals:
-            length = right - left
-            if remaining >= length:
-                remaining -= length
-            elif remaining > ZERO:
-                out.append((left + remaining, right))
-                remaining = ZERO
-            else:
-                out.append((left, right))
-        return IntervalSet(tuple(out))
-
     def split(self, weights: Sequence[Fraction]) -> list["IntervalSet"]:
         """Cut into consecutive leftmost slabs of the given masses.
 
@@ -241,35 +220,3 @@ class IntervalSet:
                     need = ZERO
             parts.append(IntervalSet(tuple(out)))
         return parts
-
-
-def inverse_prefix_mass(a: IntervalSet, family_base: IntervalSet, gamma: Fraction) -> Fraction:
-    """Largest s with measure(a & prefix(family_base, s)) = gamma.
-
-    The map s -> measure(a & prefix(family_base, s)) is piecewise linear,
-    continuous and nondecreasing with slopes 0 and 1, so the supremum of
-    its gamma level set is computed exactly by walking the slope-1 pieces
-    in the mass coordinate of family_base.
-    """
-    gamma = Fraction(gamma)
-    overlap = a.intersect(family_base)
-    if gamma < ZERO or gamma > overlap.measure:
-        raise PreconditionError(
-            f"target mass {gamma} outside [0, {overlap.measure}]"
-        )
-    if gamma == overlap.measure:
-        return family_base.measure
-    # slope-1 pieces of the mass map, in family_base mass coordinates
-    pieces: list[Pair] = []
-    offset = ZERO
-    for left, right in family_base.intervals:
-        chunk = a.intersect(IntervalSet(((left, right),)))
-        for x, y in chunk.intervals:
-            pieces.append((offset + x - left, offset + y - left))
-        offset += right - left
-    accumulated = ZERO
-    for start, stop in pieces:
-        if accumulated + (stop - start) > gamma:
-            return start + (gamma - accumulated)
-        accumulated += stop - start
-    raise AssertionError("unreachable: gamma below total overlap mass")

@@ -85,10 +85,6 @@ class FiniteMetricSpace:
                     pairs.setdefault(x, []).append((i, j))
         return tuple((x, tuple(pairs[x])) for x in sorted(pairs))
 
-    def distinct_distances(self) -> list[Fraction]:
-        """Sorted distinct positive distances."""
-        return [x for x, _ in self.distance_levels]
-
 
 def validate_space(points: Sequence[str], dist: Sequence[Sequence[Fraction]]) -> FiniteMetricSpace:
     """Build a metric space, reporting the violated axiom on failure."""

@@ -18,35 +18,6 @@ from pathlift.omega import ONE, ZERO
 F = Fraction
 
 
-def rho_scan_oracle(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Fraction:
-    """Direct-scan Ky Fan value: for each threshold interval, measure the
-    union of cells at distance >= the next distinct distance and compare
-    with the threshold candidates."""
-    space = x.space
-    m = space.size
-    cuts = sorted(
-        {space.dist[i][j] for i in range(m) for j in range(m) if i != j}
-    )
-    best = None
-    lo = ZERO
-    for cut in cuts + [None]:
-        if cut is None:
-            far_mass = ZERO
-        else:
-            far = IntervalSet.empty()
-            for i in range(m):
-                for j in range(m):
-                    if space.dist[i][j] >= cut:
-                        far = far.union(x.blocks[i].intersect(y.blocks[j]))
-            far_mass = far.measure
-        cand = max(lo, far_mass)
-        if cut is None or cand <= cut:
-            if best is None or cand < best:
-                best = cand
-        lo = cut
-    return best
-
-
 def kyfan_bruteforce(pi: CouplingMatrix) -> Fraction:
     """Ky Fan functional by rescanning every pair at every threshold,
     O(m^2 * #distances): the tail mass pi{d >= cut} for each distinct

@@ -11,7 +11,6 @@ from pathlift import (
     canonical_rv,
     dirac,
     g_eval,
-    g_lift_eval,
     kyfan_rho,
     law,
     validate_space,
@@ -68,7 +67,7 @@ class TestGLiftEval:
         interp = CubeInterpolation(space, (mu, nu))
         for k in range(5):
             t = F(k, 4)
-            assert law(g_lift_eval(interp, (t,))) == g_eval(interp, (t,))
+            assert law(CubeLift(interp).eval((t,))) == g_eval(interp, (t,))
 
     def test_zero_last_coordinate_freezes_level(self):
         rng = random.Random(3)
@@ -78,7 +77,7 @@ class TestGLiftEval:
         level = CubeInterpolation(space, corners[:2])
         for k in range(5):
             t = F(k, 4)
-            assert g_lift_eval(interp, (t, Z)) == g_lift_eval(level, (t,))
+            assert CubeLift(interp).eval((t, Z)) == CubeLift(level).eval((t,))
 
     def test_unit_last_coordinate_is_canonical_corner(self):
         rng = random.Random(4)
@@ -88,7 +87,7 @@ class TestGLiftEval:
         expected = canonical_rv(corners[-1])
         for k in range(5):
             t = F(k, 4)
-            assert g_lift_eval(interp, (t, F(1))) == expected
+            assert CubeLift(interp).eval((t, F(1))) == expected
 
     def test_law_identity_grid_dim2(self):
         rng = random.Random(5)

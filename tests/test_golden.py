@@ -2,8 +2,11 @@
 
 Each case writes seeded inputs built with ``pathlift.gen``, runs one CLI
 subcommand in-process and compares the sha256 of its ``--out`` report
-with the digest recorded in ``golden/digests.json``.  Changes to the
-arithmetic must keep every report byte-identical.  After an intended
+with the digest recorded in ``golden/digests.json``.  The demo scripts
+are covered the same way: the stdout of ``demo_cube.py`` at each
+dimension, and each file ``demo_lift.py`` writes (its stdout names the
+output directory, so it is not compared).  Changes to the arithmetic
+must keep every report byte-identical.  After an intended
 change of output, record the digests again with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -13,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -39,6 +44,7 @@ from pathlift.serialize import (
 
 F = Fraction
 DIGESTS = Path(__file__).with_name("golden") / "digests.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(directory, name, obj):
@@ -162,14 +168,26 @@ def case_verify(rng, directory):
     return ["verify", lift_file, path_file, "--tol", f"{eps.numerator}/{eps.denominator}", "--grid", "9"]
 
 
-def case_cube(rng, directory):
+def _cube(rng, directory, dim, grid):
     space = gen.rand_space(rng, 4)
-    corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(4)]
+    corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(dim + 1)]
     return [
         "cube",
         _write(directory, "corners.json", {"space": space_to_obj(space), "corners": corners}),
-        "--grid", "3",
+        "--grid", str(grid),
     ]
+
+
+def case_cube(rng, directory):
+    return _cube(rng, directory, 3, 3)
+
+
+def case_cube_dim1(rng, directory):
+    return _cube(rng, directory, 1, 9)
+
+
+def case_cube_dim2(rng, directory):
+    return _cube(rng, directory, 2, 5)
 
 
 CASES = {
@@ -189,8 +207,39 @@ def report_digest(name: str, seed: int) -> str:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def _run_script(name: str, *args: str) -> bytes:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return result.stdout
+
+
+def demo_cube_digest(dim: int) -> str:
+    return hashlib.sha256(_run_script("demo_cube.py", "--dim", str(dim))).hexdigest()
+
+
+def demo_lift_digests() -> dict[str, str]:
+    """sha256 of every file ``demo_lift.py --seed 0`` writes, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_script("demo_lift.py", "--seed", "0", "--out", tmp)
+        return {
+            f"demo_lift:0:{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(tmp).iterdir())
+        }
+
+
+DEMO_CUBE_DIMS = (1, 2, 3)
+
+
 def all_digests() -> dict[str, str]:
-    return {f"{name}:{seed}": report_digest(name, seed) for name in CASES for seed in SEEDS}
+    digests = {f"{name}:{seed}": report_digest(name, seed) for name in CASES for seed in SEEDS}
+    digests.update({f"demo_cube:{dim}": demo_cube_digest(dim) for dim in DEMO_CUBE_DIMS})
+    digests.update(demo_lift_digests())
+    return digests
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -198,6 +247,18 @@ def test_report_matches_golden_digest(name):
     golden = json.loads(DIGESTS.read_text())
     for seed in SEEDS:
         assert report_digest(name, seed) == golden[f"{name}:{seed}"], f"{name} seed {seed}"
+
+
+@pytest.mark.parametrize("dim", DEMO_CUBE_DIMS)
+def test_demo_cube_stdout_matches_golden_digest(dim):
+    golden = json.loads(DIGESTS.read_text())
+    assert demo_cube_digest(dim) == golden[f"demo_cube:{dim}"]
+
+
+def test_demo_lift_files_match_golden_digests():
+    golden = json.loads(DIGESTS.read_text())
+    expected = {key: value for key, value in golden.items() if key.startswith("demo_lift:")}
+    assert demo_lift_digests() == expected
 
 
 if __name__ == "__main__":

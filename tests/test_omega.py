@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import fractions01, interval_sets
-from pathlift import IntervalSet, PreconditionError, inverse_prefix_mass
+from pathlift import IntervalSet, PreconditionError
 
 F = Fraction
 
@@ -97,12 +97,6 @@ class TestPrefix:
         assert ps.issubset(pt)
         assert pt.issubset(a)
 
-    @given(interval_sets(), fractions01())
-    def test_drop_prefix_complements(self, a, u):
-        t = a.measure * u
-        assert a.prefix(t).union(a.drop_prefix(t)) == a
-        assert a.drop_prefix(t).measure == a.measure - t
-
 
 class TestSplit:
     def test_thirds_of_full(self):
@@ -150,48 +144,3 @@ class TestSplit:
             low = a.prefix(cumulative)
             cumulative += w
             assert part == a.prefix(cumulative).difference(low)
-
-
-class TestInversePrefixMass:
-    def test_mass_starts_later(self):
-        assert inverse_prefix_mass(iset((F(1, 2), 1)), IntervalSet.full(), 0) == F(1, 2)
-
-    def test_full_mass(self):
-        a = iset((F(1, 8), F(5, 8)))
-        assert inverse_prefix_mass(a, a, a.measure) == a.measure
-
-    def test_piecewise_inversion(self):
-        a = iset((0, F(1, 4)), (F(1, 2), F(3, 4)))
-        assert inverse_prefix_mass(a, IntervalSet.full(), F(1, 4)) == F(1, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(PreconditionError):
-            inverse_prefix_mass(iset((0, F(1, 4))), IntervalSet.full(), F(1, 2))
-
-    @given(interval_sets(), interval_sets(), fractions01())
-    @settings(max_examples=60)
-    def test_consistency_and_maximality(self, a, b, u):
-        gamma = a.intersect(b).measure * u
-        s = inverse_prefix_mass(a, b, gamma)
-        assert a.intersect(b.prefix(s)).measure == gamma
-        # maximality: strictly larger prefixes pick up strictly more mass
-        if s < b.measure:
-            boundary = min(
-                c
-                for c in _mass_breakpoints(a, b) + [b.measure]
-                if c > s
-            )
-            probe = (s + boundary) / 2
-            assert a.intersect(b.prefix(probe)).measure > gamma
-
-
-def _mass_breakpoints(a, b):
-    """Mass coordinates (within b) where the overlap slope can change."""
-    out = []
-    offset = Fraction(0)
-    for left, right in b.intervals:
-        chunk = a.intersect(IntervalSet(((left, right),)))
-        for x, y in chunk.intervals:
-            out += [offset + x - left, offset + y - left]
-        offset += right - left
-    return out

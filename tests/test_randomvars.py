@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import rho_scan_oracle, space_with
+from helpers import space_with
 from pathlift import (
     CouplingMatrix,
     IntervalSet,
@@ -20,6 +20,7 @@ from pathlift import (
     realize_coupling,
     validate_space,
 )
+from pathlift.selftest import rho_scan_oracle
 
 F = Fraction
 Z = F(0)
