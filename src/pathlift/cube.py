@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError
-from .lifting import segment_lift
+from .lifting import SegmentLift, segment_lift
 from .omega import ONE, ZERO
 from .randomvars import SimpleRandomVariable, canonical_rv
 from .spaces import FiniteMetricSpace, Measure, mixture, same_space
@@ -67,11 +68,20 @@ class CubeLift:
     def space(self) -> FiniteMetricSpace:
         return self.interp.space
 
+    @cached_property
+    def corner_rvs(self) -> tuple[SimpleRandomVariable, ...]:
+        """The canonical variable of each corner measure."""
+        return tuple(canonical_rv(corner) for corner in self.interp.corners)
+
+    @cached_property
+    def first_segment(self) -> SegmentLift:
+        """The first-axis lift, from corner 0 to corner 1; shared by all points."""
+        return segment_lift(self.corner_rvs[0], self.corner_rvs[1], ZERO, ONE)
+
     def eval(self, ts) -> SimpleRandomVariable:
         """Lifting twin of g_eval: one segment lift per coordinate."""
         ts = _check_point(self.interp, ts)
-        corners = self.interp.corners
-        value = canonical_rv(corners[0])
-        for t, corner in zip(ts, corners[1:]):
-            value = segment_lift(value, canonical_rv(corner), ZERO, ONE).eval(t)
+        value = self.first_segment.eval(ts[0])
+        for t, corner in zip(ts[1:], self.corner_rvs[2:]):
+            value = segment_lift(value, corner, ZERO, ONE).eval(t)
         return value

@@ -78,7 +78,7 @@ def rand_rv(rng: random.Random, space: FiniteMetricSpace, slabs: int = 8, den: i
     for lo, hi in zip(bounds, bounds[1:]):
         pieces[rng.randrange(space.size)].append((lo, hi))
     blocks = tuple(IntervalSet.from_pairs(p) for p in pieces)
-    return SimpleRandomVariable(space, blocks)
+    return SimpleRandomVariable.from_blocks(space, blocks)
 
 
 def rand_polygonal(

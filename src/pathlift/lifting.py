@@ -4,7 +4,11 @@ A segment lift joins two simple random variables by moving, inside each
 cell A_i & B_j of their joint partition, a linearly growing leftmost
 part from value a_i to value a_j.  Its pointwise law is exactly the
 affine mixture of the endpoint laws, it reproduces the endpoints
-exactly, and it contracts rho at rate 1 / (segment length).
+exactly, and it contracts rho at rate 1 / (segment length).  The lift
+caches the common refinement of its endpoint slabs as (right, i, j)
+pieces plus the cell masses; an evaluation is one walk over the pieces
+with a "mass still to move" counter per cell, merging equal neighbours
+as slabs are emitted.
 
 Polygonal paths of measures are lifted segment by segment with
 prescribed endpoint variables; an arbitrary Lipschitz path of measures
@@ -24,9 +28,18 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import PreconditionError
-from .omega import ONE, ZERO, IntervalSet
+from .omega import ONE, ZERO
 from .prokhorov import prokhorov, prokhorov_coupling
-from .randomvars import SimpleRandomVariable, kyfan_rho, law, match_to_law, realize_coupling
+from .randomvars import (
+    Piece,
+    SimpleRandomVariable,
+    cell_masses,
+    kyfan_rho,
+    law,
+    match_to_law,
+    realize_coupling,
+    refinement,
+)
 from .spaces import FiniteMetricSpace, Measure, mixture, same_space
 
 DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
@@ -34,32 +47,32 @@ DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
 
 def transfer_blocks(
     space: FiniteMetricSpace,
-    cells: Sequence[Sequence[IntervalSet]],
+    pieces: Sequence[Piece],
     masses: Sequence[Sequence[Fraction]],
     s: Fraction,
 ) -> SimpleRandomVariable:
     """Rearranged variable after moving mass s * masses[i][j] per cell.
 
-    The moved part of cell (i, j) is its leftmost prefix of that mass and
-    takes value j; the rest keeps value i.  Diagonal cells never move.
+    One walk over the refinement pieces with one "mass still to move"
+    counter per cell: the leftmost s * masses[i][j] of cell (i, j) takes
+    value j, the rest keeps value i.  Diagonal cells never move.
     """
-    m = space.size
-    moved: dict[tuple[int, int], IntervalSet] = {}
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                moved[i, j] = cells[i][j].prefix(s * masses[i][j])
-    blocks = []
-    for i in range(m):
-        parts = [cells[i][i]]
-        for k in range(m):
-            if k != i:
-                parts.append(moved[k, i])
-        for j in range(m):
-            if j != i:
-                parts.append(cells[i][j].difference(moved[i, j]))
-        blocks.append(IntervalSet.union_all(parts))
-    return SimpleRandomVariable(space, tuple(blocks))
+    to_move = [[s * w if w else ZERO for w in row] for row in masses]
+    slabs = []
+    left = ZERO
+    for right, i, j in pieces:
+        rest = to_move[i][j] if i != j else ZERO
+        if not rest:
+            slabs.append((right, i))
+        elif rest >= right - left:
+            slabs.append((right, j))
+            to_move[i][j] = rest - (right - left)
+        else:
+            slabs.append((left + rest, j))
+            slabs.append((right, i))
+            to_move[i][j] = ZERO
+        left = right
+    return SimpleRandomVariable.from_slabs(space, slabs)
 
 
 @dataclass(frozen=True)
@@ -77,14 +90,12 @@ class SegmentLift:
         same_space(self.x.space, self.y.space)
 
     @cached_property
-    def cells(self) -> tuple[tuple[IntervalSet, ...], ...]:
-        return tuple(
-            tuple(ax.intersect(by) for by in self.y.blocks) for ax in self.x.blocks
-        )
+    def pieces(self) -> list[Piece]:
+        return refinement(self.x, self.y)
 
     @cached_property
     def masses(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(c.measure for c in row) for row in self.cells)
+        return cell_masses(self.space.size, self.pieces)
 
     @property
     def space(self) -> FiniteMetricSpace:
@@ -94,8 +105,13 @@ class SegmentLift:
         t = Fraction(t)
         if t < self.a or t > self.b:
             raise PreconditionError(f"time {t} outside [{self.a}, {self.b}]")
+        # nothing has moved at a, and everything at b
+        if t == self.a:
+            return self.x
+        if t == self.b:
+            return self.y
         s = (t - self.a) / (self.b - self.a)
-        return transfer_blocks(self.space, self.cells, self.masses, s)
+        return transfer_blocks(self.space, self.pieces, self.masses, s)
 
 
 def segment_lift(

@@ -14,6 +14,12 @@ prescribed masses.
 Every operation normalizes its output (merging adjacent intervals), so
 interval counts never blow up beyond the input sizes, and each op runs
 in time linear in the total interval count of its operands.
+
+Random variables store their partition as labeled slabs (see
+``randomvars``), so the library itself now uses IntervalSet only for
+the per-point ``blocks`` of the JSON format (reading and writing), for
+the selftest's independent oracles, and in the tests' block-algebra
+oracle for the slab code.
 """
 
 from __future__ import annotations

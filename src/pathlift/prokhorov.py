@@ -238,8 +238,10 @@ def prokhorov_subsets(mu: Measure, nu: Measure) -> Fraction:
 
     Every subset of a finite space is closed, so the defining infimum is
     evaluated over all 2^m subsets; per subset the constraint is a step
-    function of eps with jumps at the distances to the subset.  Guarded
-    to m <= 16 points.
+    function of eps with jumps at the distances to the subset, built by
+    one sweep over the points sorted by that distance.  Weights and
+    distances are scaled to integers by one common denominator, so the
+    step values and jumps share a unit.  Guarded to m <= 16 points.
     """
     same_space(mu.space, nu.space)
     space = mu.space
@@ -248,22 +250,32 @@ def prokhorov_subsets(mu: Measure, nu: Measure) -> Fraction:
         raise PreconditionError(
             f"subset oracle limited to {SUBSET_ORACLE_LIMIT} points, space has {m}"
         )
-    best = ZERO
+    den = math.lcm(
+        *(w.denominator for w in mu.weights + nu.weights),
+        *(x.denominator for row in space.dist for x in row),
+    )
+    mu_w = [w.numerator * (den // w.denominator) for w in mu.weights]
+    nu_w = [w.numerator * (den // w.denominator) for w in nu.weights]
+    d = [[x.numerator * (den // x.denominator) for x in row] for row in space.dist]
+    best = 0
     for mask in range(1, 1 << m):
         members = [i for i in range(m) if mask >> i & 1]
-        mu_a = sum((mu.weights[i] for i in members), ZERO)
+        mu_a = sum(mu_w[i] for i in members)
         if mu_a <= best:
             continue  # this subset cannot force a larger epsilon
-        # distance of every point to the subset
-        gaps = [min(space.dist[x][i] for i in members) for x in range(m)]
-        cuts = sorted({g for g in gaps if g > ZERO})
-        values = []
-        lo = ZERO
-        for cut in cuts + [None]:
-            near = sum((nu.weights[x] for x in range(m) if gaps[x] <= lo), ZERO)
-            values.append(mu_a - near)
-            lo = cut
+        # points by distance to the subset; values[k] is mu(A) minus nu of
+        # the points within distance cuts[k - 1] (within 0 for k = 0)
+        by_gap = sorted((min(d[x][i] for i in members), nu_w[x]) for x in range(m))
+        cuts: list[int] = []
+        values: list[int] = []
+        near = 0
+        for gap, weight in by_gap:
+            if gap > (cuts[-1] if cuts else 0):
+                values.append(mu_a - near)
+                cuts.append(gap)
+            near += weight
+        values.append(mu_a - near)
         lower = _upward_infimum(cuts, values)
         if lower > best:
             best = lower
-    return best
+    return Fraction(best, den)

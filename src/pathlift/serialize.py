@@ -115,7 +115,7 @@ def rv_from_blocks_obj(space: FiniteMetricSpace, obj: Any) -> SimpleRandomVariab
     blocks = tuple(
         intervals_from_obj(obj.get(point, [])) for point in space.points
     )
-    return SimpleRandomVariable(space, blocks)
+    return SimpleRandomVariable.from_blocks(space, blocks)
 
 
 def rv_to_obj(x: SimpleRandomVariable) -> dict:

@@ -111,6 +111,54 @@ def _solve_tree(m, tree, row_w, col_w):
     return matrix
 
 
+# -- block-algebra oracle for the slab code -----------------------------
+# Each function returns per-point blocks, built only from IntervalSet
+# operations on the blocks of its inputs.
+
+def oracle_cells(x, y) -> tuple[tuple[IntervalSet, ...], ...]:
+    """Cell (i, j) = A_i & B_j, by intersection."""
+    return tuple(tuple(a.intersect(b) for b in y.blocks) for a in x.blocks)
+
+
+def oracle_law(x) -> tuple[Fraction, ...]:
+    return tuple(b.measure for b in x.blocks)
+
+
+def oracle_joint(x, y) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(c.measure for c in row) for row in oracle_cells(x, y))
+
+
+def oracle_transfer(x, y, s: Fraction) -> tuple[IntervalSet, ...]:
+    """Blocks after moving the leftmost s * measure of each off-diagonal
+    cell (i, j) from value i to value j."""
+    cells = oracle_cells(x, y)
+    m = len(cells)
+    moved = {
+        (i, j): cells[i][j].prefix(s * cells[i][j].measure)
+        for i in range(m)
+        for j in range(m)
+        if i != j
+    }
+    blocks = []
+    for i in range(m):
+        parts = [cells[i][i]]
+        parts += [moved[k, i] for k in range(m) if k != i]
+        parts += [cells[i][j].difference(moved[i, j]) for j in range(m) if j != i]
+        blocks.append(IntervalSet.union_all(parts))
+    return tuple(blocks)
+
+
+def oracle_realize(x, pi: CouplingMatrix) -> tuple[IntervalSet, ...]:
+    """Block j = union over i of the j-th leftmost piece of A_i split by row i."""
+    m = len(x.blocks)
+    pieces = [x.blocks[i].split(pi.mass[i]) for i in range(m)]
+    return tuple(IntervalSet.union_all(pieces[i][j] for i in range(m)) for j in range(m))
+
+
+def oracle_canonical(nu: Measure) -> tuple[IntervalSet, ...]:
+    return tuple(IntervalSet.full().split(nu.weights))
+
+
 # -- hypothesis strategies ---------------------------------------------
 
 @st.composite
@@ -173,14 +221,16 @@ def rvs_on(draw, space, den: int = 24, max_slabs: int = 6):
     pieces = [[] for _ in range(space.size)]
     for (lo, hi), lab in zip(zip(bounds, bounds[1:]), labels):
         pieces[lab].append((lo, hi))
-    return SimpleRandomVariable(
+    return SimpleRandomVariable.from_blocks(
         space, tuple(IntervalSet.from_pairs(p) for p in pieces)
     )
 
 
 @st.composite
-def space_with(draw, n_measures: int = 0, n_rvs: int = 0, max_size: int = 4):
+def space_with(
+    draw, n_measures: int = 0, n_rvs: int = 0, max_size: int = 4, max_slabs: int = 6
+):
     space = draw(metric_spaces(max_size=max_size))
     measures = tuple(draw(measures_on(space)) for _ in range(n_measures))
-    variables = tuple(draw(rvs_on(space)) for _ in range(n_rvs))
+    variables = tuple(draw(rvs_on(space, max_slabs=max_slabs)) for _ in range(n_rvs))
     return (space,) + measures + variables

@@ -265,6 +265,19 @@ class TestMalformedInput:
         assert 'segments[1] has no "b"' in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "a_block, b_block",
+        [([["0/1", "1/2"]], [["1/4", "1/1"]]), ([["0/1", "1/4"]], [["1/2", "1/1"]])],
+        ids=["overlap", "gap"],
+    )
+    def test_kyfan_blocks_not_a_partition_exit_two(self, tmp_path, capsys, a_block, b_block):
+        space = space_to_obj(validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]]))
+        x_file = write(tmp_path / "x.json", {"space": space, "blocks": {"a": a_block, "b": b_block}})
+        y_file = write(tmp_path / "y.json", {"space": space, "blocks": {"a": [["0/1", "1/1"]]}})
+        assert main(["kyfan", x_file, y_file]) == 2
+        assert "blocks must partition [0, 1) exactly" in capsys.readouterr().err
+
+
 class TestSelftestCommand:
     def test_passes_and_prints_suites(self, capsys):
         assert main(["selftest", "--seed", "0"]) == 0

@@ -30,7 +30,7 @@ from helpers import distinct_space
 from pathlift import canonical_rv, lift_polygonal, match_to_law, mixture
 from pathlift import gen
 from pathlift.cli import main
-from pathlift.lifting import PolygonalPath
+from pathlift.lifting import PolygonalPath, SampledPath
 from pathlift.serialize import (
     blocks_to_obj,
     dumps,
@@ -105,6 +105,18 @@ def case_match(rng, directory):
     ]
 
 
+def case_match_wide(rng, directory):
+    """Benchmark-sized match: 24 points, a variable of ~48 pieces."""
+    space = distinct_space(rng, 24)
+    x = gen.rand_rv(rng, space, slabs=48, den=24 * 48)
+    nu = gen.rand_measure(rng, space, den=24 * 24)
+    return [
+        "match",
+        _rv_file(directory, "x.json", x),
+        _write(directory, "nu.json", measure_to_obj(nu)),
+    ]
+
+
 def case_segment(rng, directory):
     space = gen.rand_space(rng, 4)
     x, y = gen.rand_rv(rng, space), gen.rand_rv(rng, space)
@@ -142,6 +154,23 @@ def case_lift_sampled(rng, directory):
         _write(directory, "path.json", sampled_to_obj(alpha)),
         _endpoints(directory, space, start, end),
         "--tol", "1/6", "--iters", "2", "--grid", "9",
+    ]
+
+
+def case_lift_criterion8(rng, directory):
+    """Criterion-8 pipeline at benchmark size: a 3-point sampled path of
+    modulus 13/5 (pieces 5/13 and 8/13), tol 1/25, 3 rounds, grid 65."""
+    space = gen.rand_space(rng, 3)
+    bps = (F(0), F(5, 13), F(1))
+    beta = PolygonalPath(space, bps, tuple(gen.rand_measure(rng, space) for _ in bps))
+    alpha = SampledPath.from_polygonal(beta)
+    start = canonical_rv(alpha.eval(F(0)))
+    end = match_to_law(gen.rand_rv(rng, space), alpha.eval(F(1)))
+    return [
+        "lift",
+        _write(directory, "path.json", sampled_to_obj(alpha)),
+        _endpoints(directory, space, start, end),
+        "--tol", "1/25", "--iters", "3", "--grid", "65",
     ]
 
 

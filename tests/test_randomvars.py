@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import space_with
+from helpers import (
+    fractions01,
+    oracle_canonical,
+    oracle_cells,
+    oracle_joint,
+    oracle_law,
+    oracle_realize,
+    oracle_transfer,
+    space_with,
+)
 from pathlift import (
     CouplingMatrix,
     IntervalSet,
@@ -17,9 +26,12 @@ from pathlift import (
     law,
     match_to_law,
     prokhorov,
+    prokhorov_coupling,
     realize_coupling,
+    segment_lift,
     validate_space,
 )
+from pathlift.lifting import transfer_blocks
 from pathlift.selftest import rho_scan_oracle
 
 F = Fraction
@@ -38,13 +50,46 @@ class TestConstruction:
     def test_blocks_must_partition(self):
         space = two_point_space(F(1))
         with pytest.raises(PreconditionError):
-            SimpleRandomVariable(space, (iset((0, F(1, 2))), iset((0, F(1, 2)))))
+            SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), iset((0, F(1, 2)))))
         with pytest.raises(PreconditionError):
-            SimpleRandomVariable(space, (iset((0, F(1, 2))), IntervalSet.empty()))
+            SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), IntervalSet.empty()))
+
+    @pytest.mark.parametrize(
+        "cuts, labels",
+        [
+            ((F(1, 4), F(1)), (0,)),
+            ((Z, F(1, 2)), (0,)),
+            ((Z, F(1, 2), F(1, 2), F(1)), (0, 1, 0)),
+            ((Z, F(3, 4), F(1, 2), F(1)), (0, 1, 0)),
+            ((Z, F(1, 2), F(1)), (0, 2)),
+            ((Z, F(1, 2), F(1)), (-1, 0)),
+            ((Z, F(1, 2), F(1)), (1, 1)),
+            ((Z, F(1, 2), F(1)), (0,)),
+        ],
+        ids=[
+            "start-not-0",
+            "end-not-1",
+            "repeated-cut",
+            "decreasing-cut",
+            "label-too-large",
+            "label-negative",
+            "equal-adjacent-labels",
+            "label-count",
+        ],
+    )
+    def test_slab_contract(self, cuts, labels):
+        with pytest.raises(PreconditionError):
+            SimpleRandomVariable(two_point_space(F(1)), cuts, labels)
+
+    def test_slabs_and_blocks_agree(self):
+        space = two_point_space(F(1))
+        x = SimpleRandomVariable(space, (Z, F(1, 4), F(1, 2), F(1)), (1, 0, 1))
+        assert x.blocks == (iset((F(1, 4), F(1, 2))), iset((0, F(1, 4)), (F(1, 2), 1)))
+        assert SimpleRandomVariable.from_blocks(space, x.blocks) == x
 
     def test_empty_blocks_allowed(self):
         space = two_point_space(F(1))
-        x = SimpleRandomVariable(space, (IntervalSet.full(), IntervalSet.empty()))
+        x = SimpleRandomVariable.from_blocks(space, (IntervalSet.full(), IntervalSet.empty()))
         assert law(x) == dirac(space, "a")
 
 
@@ -55,7 +100,7 @@ class TestLaw:
 
     def test_block_measures(self):
         space = two_point_space(F(1))
-        x = SimpleRandomVariable(space, (iset((0, F(3, 4))), iset((F(3, 4), 1))))
+        x = SimpleRandomVariable.from_blocks(space, (iset((0, F(3, 4))), iset((F(3, 4), 1))))
         assert law(x).weights == (F(3, 4), F(1, 4))
 
     def test_invariant_under_relabeling(self):
@@ -65,8 +110,8 @@ class TestLaw:
         # build the same sets through different boolean expressions
         rebuilt = IntervalSet.full().difference(rest)
         assert rebuilt == first
-        x = SimpleRandomVariable(space, (first, rest))
-        y = SimpleRandomVariable(space, (rebuilt, IntervalSet.full().difference(first)))
+        x = SimpleRandomVariable.from_blocks(space, (first, rest))
+        y = SimpleRandomVariable.from_blocks(space, (rebuilt, IntervalSet.full().difference(first)))
         assert x == y
         assert law(x) == law(y)
 
@@ -80,7 +125,7 @@ class TestKyfanRho:
     def test_quarter_disagreement(self):
         space = two_point_space(F(1))
         x = canonical_rv(dirac(space, "a"))
-        y = SimpleRandomVariable(space, (iset((F(1, 4), 1)), iset((0, F(1, 4)))))
+        y = SimpleRandomVariable.from_blocks(space, (iset((F(1, 4), 1)), iset((0, F(1, 4)))))
         assert kyfan_rho(x, y) == F(1, 4)
 
     def test_total_disagreement_small_distance(self):
@@ -195,3 +240,52 @@ class TestCanonicalRv:
     def test_law_round_trip(self, bundle):
         _, nu = bundle
         assert law(canonical_rv(nu)) == nu
+
+
+SLAB_BUNDLES = space_with(n_measures=1, n_rvs=2, max_size=6, max_slabs=12)
+
+
+class TestSlabsAgainstBlockOracle:
+    """Every slab walk gives the blocks the IntervalSet algebra gives."""
+
+    @given(SLAB_BUNDLES)
+    @settings(max_examples=80, deadline=None)
+    def test_law_joint_coupling_and_blocks(self, bundle):
+        space, _, x, y = bundle
+        assert law(x).weights == oracle_law(x)
+        assert joint_coupling(x, y).mass == oracle_joint(x, y)
+        assert SimpleRandomVariable.from_blocks(space, x.blocks) == x
+
+    @given(SLAB_BUNDLES, fractions01(max_den=60))
+    @settings(max_examples=60, deadline=None)
+    def test_segment_eval(self, bundle, r):
+        space, _, x, y = bundle
+        seg = segment_lift(x, y, Z, F(1))
+        times = {Z, F(1), r} | set(x.cuts) | set(y.cuts)
+        # times at which a cell's moved mass reaches one of its piece ends
+        for row in oracle_cells(x, y):
+            for cell in row:
+                reached = Z
+                for lo, hi in cell.intervals:
+                    reached += hi - lo
+                    times.add(reached / cell.measure)
+        for t in times:
+            assert seg.eval(t).blocks == oracle_transfer(x, y, t)
+        for s in (Z, F(1)):  # the walk itself, not eval's endpoint shortcut
+            walked = transfer_blocks(space, seg.pieces, seg.masses, s)
+            assert walked.blocks == oracle_transfer(x, y, s)
+        shifted = segment_lift(x, y, F(1, 3), F(2))
+        assert shifted.eval(F(1, 3) + r * F(5, 3)).blocks == oracle_transfer(x, y, r)
+
+    @given(SLAB_BUNDLES)
+    @settings(max_examples=80, deadline=None)
+    def test_realize_coupling(self, bundle):
+        _, nu, x, y = bundle
+        for pi in (joint_coupling(x, y), prokhorov_coupling(law(x), nu)[1]):
+            assert realize_coupling(x, pi).blocks == oracle_realize(x, pi)
+
+    @given(SLAB_BUNDLES)
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_rv(self, bundle):
+        _, nu, _, _ = bundle
+        assert canonical_rv(nu).blocks == oracle_canonical(nu)
