@@ -74,11 +74,8 @@ def rand_rv(rng: random.Random, space: FiniteMetricSpace, slabs: int = 8, den: i
     """Random labeled partition: random slab cuts, random labels."""
     cuts = sorted(rng.sample(range(1, den), min(slabs - 1, den - 1)))
     bounds = [Fraction(0)] + [Fraction(c, den) for c in cuts] + [Fraction(1)]
-    pieces: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(space.size)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        pieces[rng.randrange(space.size)].append((lo, hi))
-    blocks = tuple(IntervalSet.from_pairs(p) for p in pieces)
-    return SimpleRandomVariable.from_blocks(space, blocks)
+    labels = [rng.randrange(space.size) for _ in bounds[1:]]
+    return SimpleRandomVariable.from_slabs(space, zip(bounds[1:], labels))
 
 
 def rand_polygonal(

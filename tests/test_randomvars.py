@@ -31,7 +31,6 @@ from pathlift import (
     segment_lift,
     validate_space,
 )
-from pathlift.lifting import transfer_blocks
 from pathlift.selftest import rho_scan_oracle
 
 F = Fraction
@@ -259,7 +258,7 @@ class TestSlabsAgainstBlockOracle:
     @given(SLAB_BUNDLES, fractions01(max_den=60))
     @settings(max_examples=60, deadline=None)
     def test_segment_eval(self, bundle, r):
-        space, _, x, y = bundle
+        _, _, x, y = bundle
         seg = segment_lift(x, y, Z, F(1))
         times = {Z, F(1), r} | set(x.cuts) | set(y.cuts)
         # times at which a cell's moved mass reaches one of its piece ends
@@ -271,9 +270,6 @@ class TestSlabsAgainstBlockOracle:
                     times.add(reached / cell.measure)
         for t in times:
             assert seg.eval(t).blocks == oracle_transfer(x, y, t)
-        for s in (Z, F(1)):  # the walk itself, not eval's endpoint shortcut
-            walked = transfer_blocks(space, seg.pieces, seg.masses, s)
-            assert walked.blocks == oracle_transfer(x, y, s)
         shifted = segment_lift(x, y, F(1, 3), F(2))
         assert shifted.eval(F(1, 3) + r * F(5, 3)).blocks == oracle_transfer(x, y, r)
 
