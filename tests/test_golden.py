@@ -174,6 +174,13 @@ def case_lift_criterion8(rng, directory):
     ]
 
 
+def case_lift_four_rounds(rng, directory):
+    """The criterion-8 instance run for 4 rounds: deeper denominators."""
+    argv = case_lift_criterion8(rng, directory)
+    argv[argv.index("--iters") + 1] = "4"
+    return argv
+
+
 def _polygonal_lift_files(rng, directory):
     space = gen.rand_space(rng, 3)
     beta = gen.rand_polygonal(rng, space, 3)

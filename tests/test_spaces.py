@@ -134,5 +134,10 @@ class TestCouplingMatrix:
 
     def test_total_mass_checked(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^coupling total mass 3/4 != 1$"):
             CouplingMatrix(space, ((F(1, 2), Z), (Z, F(1, 4))))
+
+    def test_negative_mass_checked(self):
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        with pytest.raises(PreconditionError, match="^negative coupling mass -1/4$"):
+            CouplingMatrix(space, ((F(1, 2), F(-1, 4)), (F(1, 4), F(1, 2))))
