@@ -72,10 +72,9 @@ def rand_interval_set(rng: random.Random, max_pieces: int = 4, den: int = 40) ->
 
 def rand_rv(rng: random.Random, space: FiniteMetricSpace, slabs: int = 8, den: int = 48) -> SimpleRandomVariable:
     """Random labeled partition: random slab cuts, random labels."""
-    cuts = sorted(rng.sample(range(1, den), min(slabs - 1, den - 1)))
-    bounds = [Fraction(0)] + [Fraction(c, den) for c in cuts] + [Fraction(1)]
-    labels = [rng.randrange(space.size) for _ in bounds[1:]]
-    return SimpleRandomVariable.from_slabs(space, zip(bounds[1:], labels))
+    ends = sorted(rng.sample(range(1, den), min(slabs - 1, den - 1))) + [den]
+    labels = [rng.randrange(space.size) for _ in ends]
+    return SimpleRandomVariable.from_slabs(space, den, zip(ends, labels))
 
 
 def rand_polygonal(

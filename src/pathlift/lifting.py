@@ -6,9 +6,9 @@ part from value a_i to value a_j.  Its pointwise law is exactly the
 affine mixture of the endpoint laws, it reproduces the endpoints
 exactly, and it contracts rho at rate 1 / (segment length).  The lift
 caches the common refinement of its endpoint slabs as (right, i, j)
-pieces plus the cell masses; an evaluation is one walk over the pieces
-with a "mass still to move" counter per cell, merging equal neighbours
-as slabs are emitted.
+pieces over one denominator plus the cell masses; an evaluation at
+s = p / q is one walk over the pieces on integers over den * q, with a
+"mass still to move" counter per cell, merging equal neighbours.
 
 Polygonal paths of measures are lifted segment by segment with
 prescribed endpoint variables; an arbitrary Lipschitz path of measures
@@ -47,21 +47,25 @@ DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
 
 def transfer_blocks(
     space: FiniteMetricSpace,
+    den: int,
     pieces: Sequence[Piece],
-    masses: Sequence[Sequence[Fraction]],
+    masses: Sequence[Sequence[int]],
     s: Fraction,
 ) -> SimpleRandomVariable:
     """Rearranged variable after moving mass s * masses[i][j] per cell.
 
-    One walk over the refinement pieces with one "mass still to move"
-    counter per cell: the leftmost s * masses[i][j] of cell (i, j) takes
-    value j, the rest keeps value i.  Diagonal cells never move.
+    Pieces and masses are over den; one walk over the pieces, over den *
+    s.denominator, with one "mass still to move" counter per cell: the
+    leftmost s * masses[i][j] of cell (i, j) takes value j, the rest
+    keeps value i.  Diagonal cells never move.
     """
-    to_move = [[s * w if w else ZERO for w in row] for row in masses]
+    num, q = s.numerator, s.denominator
+    to_move = [[w * num for w in row] for row in masses]
     slabs = []
-    left = ZERO
+    left = 0
     for right, i, j in pieces:
-        rest = to_move[i][j] if i != j else ZERO
+        right *= q
+        rest = to_move[i][j] if i != j else 0
         if not rest:
             slabs.append((right, i))
         elif rest >= right - left:
@@ -70,9 +74,9 @@ def transfer_blocks(
         else:
             slabs.append((left + rest, j))
             slabs.append((right, i))
-            to_move[i][j] = ZERO
+            to_move[i][j] = 0
         left = right
-    return SimpleRandomVariable.from_slabs(space, slabs)
+    return SimpleRandomVariable.from_slabs(space, den * q, slabs)
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,12 @@ class SegmentLift:
         same_space(self.x.space, self.y.space)
 
     @cached_property
-    def pieces(self) -> list[Piece]:
+    def refinement(self) -> tuple[int, list[Piece]]:
         return refinement(self.x, self.y)
 
     @cached_property
-    def masses(self) -> tuple[tuple[Fraction, ...], ...]:
-        return cell_masses(self.space.size, self.pieces)
+    def masses(self) -> tuple[tuple[int, ...], ...]:
+        return cell_masses(self.space.size, self.refinement[1])
 
     @property
     def space(self) -> FiniteMetricSpace:
@@ -106,7 +110,7 @@ class SegmentLift:
         if t < self.a or t > self.b:
             raise PreconditionError(f"time {t} outside [{self.a}, {self.b}]")
         s = (t - self.a) / (self.b - self.a)
-        return transfer_blocks(self.space, self.pieces, self.masses, s)
+        return transfer_blocks(self.space, *self.refinement, self.masses, s)
 
 
 def segment_lift(

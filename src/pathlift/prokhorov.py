@@ -10,7 +10,8 @@ capacities (both measures scaled by one common denominator) and admits
 the pairs of one distance level of the space per interval, so each call
 does one O(m^2) BFS per augmentation and no rescan of the m^2 pairs per
 threshold.  ``kyfan_functional`` costs O(m^2) per call: one descending
-sweep over the same distance levels.  ``prokhorov`` returns 0 without a
+sweep of integer tail sums over the same levels, masses and distances
+scaled to one lcm.  ``prokhorov`` returns 0 without a
 max-flow when the two measures are equal.
 
 ``prokhorov_subsets`` is the enumeration oracle over the defining
@@ -35,7 +36,7 @@ from .spaces import CouplingMatrix, Measure, same_space
 SUBSET_ORACLE_LIMIT = 16
 
 
-def _upward_infimum(cuts: list[Fraction], values: list[Fraction]) -> Fraction:
+def _upward_infimum(cuts: list[int], values: list[int]) -> int:
     """Infimum of the upward-closed set {eps > 0 : step(eps) <= eps}.
 
     ``step`` is the left-continuous nonincreasing function equal to
@@ -46,7 +47,7 @@ def _upward_infimum(cuts: list[Fraction], values: list[Fraction]) -> Fraction:
     if len(values) != len(cuts) + 1:
         raise InvariantError("step function shape mismatch")
     best = None
-    lo = ZERO
+    lo = 0
     for k, val in enumerate(values):
         hi = cuts[k] if k < len(cuts) else None
         cand = max(lo, val)
@@ -63,19 +64,21 @@ def _upward_infimum(cuts: list[Fraction], values: list[Fraction]) -> Fraction:
 def kyfan_functional(pi: CouplingMatrix) -> Fraction:
     """inf{eps > 0 : pi{(x, y) : d(x, y) >= eps} <= eps}, exact.
 
-    One descending sweep over the space's distance levels accumulates
-    the tail masses pi{d >= cut}: O(m^2) additions per call.
+    Masses and distance levels are scaled to integers over one lcm; one
+    descending sweep over the levels accumulates the tail masses
+    pi{d >= cut}: O(m^2) additions per call.
     """
     levels = pi.space.distance_levels
-    mass = pi.mass
-    values = [ZERO] * (len(levels) + 1)
-    tail = ZERO
+    den = math.lcm(*(x.denominator for row in pi.mass + pi.space.dist for x in row))
+    mass = [[w.numerator * (den // w.denominator) for w in row] for row in pi.mass]
+    values = [0] * (len(levels) + 1)
+    tail = 0
     for k in range(len(levels) - 1, -1, -1):
         for i, j in levels[k][1]:
-            if mass[i][j]:
-                tail += mass[i][j]
+            tail += mass[i][j]
         values[k] = tail
-    return _upward_infimum([cut for cut, _ in levels], values)
+    cuts = [cut.numerator * (den // cut.denominator) for cut, _ in levels]
+    return Fraction(_upward_infimum(cuts, values), den)
 
 
 class _FlowState:

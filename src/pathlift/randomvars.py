@@ -1,26 +1,29 @@
 """Simple random variables on [0, 1) with values in a finite space.
 
-A variable is a labeled partition of the unit interval, stored as slabs:
-one strictly increasing cut tuple 0 = c_0 < ... < c_n = 1 and one label
-(a point index of the space) per slab [c_k, c_{k+1}).  Adjacent slabs
-carry different labels, so the representation of a partition is unique
-and dataclass ``==`` is exact set equality.  Every construction checks
-this in one pass over the slabs.
+A variable is a labeled partition of the unit interval, stored as slabs
+over one denominator ``den``: integer cuts 0 = c_0 < ... < c_n = den in
+lowest terms and one label (a point index of the space) per slab
+[c_k / den, c_{k+1} / den).  Adjacent slabs carry different labels, so
+the representation of a partition is unique and dataclass ``==`` is
+exact set equality.  Every construction checks this in one pass.
 
-Each operation is one left-to-right walk over cut arrays: ``law``,
-``joint_coupling`` (over the common ``refinement`` of two variables),
-``realize_coupling`` and ``canonical_rv``.  The per-point ``blocks``
-(canonical IntervalSets) are derived on demand for the JSON format and
-the independent oracles.  ``kyfan_rho`` is the metric of convergence in
-probability; ``match_to_law`` rearranges a variable to hit a target law
-at exactly the Prokhorov distance between the laws.
+Each operation is one left-to-right walk over integer cuts, two variables
+scaled to the lcm of their dens: ``law``, ``joint_coupling`` (over the
+common ``refinement`` of two variables), ``realize_coupling`` and
+``canonical_rv``.  The per-point ``blocks`` (canonical IntervalSets) are
+derived on demand for the JSON format and the independent oracles.
+``kyfan_rho`` is the metric of convergence in probability;
+``match_to_law`` rearranges a variable to hit a target law at exactly
+the Prokhorov distance between the laws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -28,25 +31,28 @@ from .omega import ONE, ZERO, IntervalSet
 from .prokhorov import kyfan_functional, prokhorov_coupling
 from .spaces import CouplingMatrix, FiniteMetricSpace, Measure, same_space
 
-# One piece of a common refinement: (right end, label in x, label in y).
-Piece = tuple[Fraction, int, int]
+# One piece of a common refinement: (right end over its den, label in x, label in y).
+Piece = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class SimpleRandomVariable:
     space: FiniteMetricSpace
-    cuts: tuple[Fraction, ...]
+    den: int
+    cuts: tuple[int, ...]
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
         cuts, labels = self.cuts, self.labels
         if len(cuts) != len(labels) + 1 or not labels:
             raise PreconditionError("one label per slab between consecutive cuts is required")
-        if cuts[0] != ZERO or cuts[-1] != ONE:
+        if cuts[0] != 0 or cuts[-1] != self.den:
             raise PreconditionError("slab cuts must run from 0 to 1")
         for left, right in zip(cuts, cuts[1:]):
             if not left < right:
-                raise PreconditionError(f"slab cuts not strictly increasing at {right}")
+                raise PreconditionError(f"slab cuts not strictly increasing at {right}/{self.den}")
+        if math.gcd(*cuts) != 1:
+            raise PreconditionError(f"slab cuts over {self.den} not in lowest terms")
         m = self.space.size
         prev = None
         for label in labels:
@@ -72,28 +78,32 @@ class SimpleRandomVariable:
         if cuts[-1] != ONE or any(left != cut for (left, _, _), cut in zip(pieces, cuts)):
             raise PreconditionError("blocks must partition [0, 1) exactly")
         # canonical blocks never hold two adjacent pieces of one label
-        return cls(space, cuts, tuple(label for _, _, label in pieces))
+        den = math.lcm(*(cut.denominator for cut in cuts))
+        ints = tuple(cut.numerator * (den // cut.denominator) for cut in cuts)
+        return cls(space, den, ints, tuple(label for _, _, label in pieces))
 
     @classmethod
     def from_slabs(
-        cls, space: FiniteMetricSpace, slabs: Iterable[tuple[Fraction, int]]
+        cls, space: FiniteMetricSpace, den: int, slabs: Iterable[tuple[int, int]]
     ) -> "SimpleRandomVariable":
-        """The variable built from (right end, label) slabs, left to right,
-        merging neighbours with equal labels."""
-        cuts, labels = [ZERO], []
+        """The variable of (right end over den, label) slabs, left to right,
+        merging equal neighbours and dividing out the gcd of the cuts."""
+        cuts, labels = [0], []
         for right, label in slabs:
             if labels and labels[-1] == label:
                 cuts[-1] = right
             else:
                 cuts.append(right)
                 labels.append(label)
-        return cls(space, tuple(cuts), tuple(labels))
+        g = math.gcd(den, *cuts)
+        return cls(space, den // g, tuple(cut // g for cut in cuts), tuple(labels))
 
     @cached_property
     def blocks(self) -> tuple[IntervalSet, ...]:
         """The set each point takes, as canonical IntervalSets."""
         pieces: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(self.space.size)]
-        for left, right, label in zip(self.cuts, self.cuts[1:], self.labels):
+        ends = [Fraction(cut, self.den) for cut in self.cuts]
+        for left, right, label in zip(ends, ends[1:], self.labels):
             pieces[label].append((left, right))
         return tuple(IntervalSet(tuple(p)) for p in pieces)
 
@@ -103,21 +113,23 @@ class SimpleRandomVariable:
 
 def law(x: SimpleRandomVariable) -> Measure:
     """The distribution of x: weight of each point is its total slab length."""
-    weights = [ZERO] * x.space.size
+    weights = [0] * x.space.size
     cuts = x.cuts
     for k, label in enumerate(x.labels):
         weights[label] += cuts[k + 1] - cuts[k]
-    return Measure(x.space, tuple(weights))
+    return Measure(x.space, tuple(Fraction(w, x.den) for w in weights))
 
 
-def refinement(x: SimpleRandomVariable, y: SimpleRandomVariable) -> list[Piece]:
-    """Common refinement of x and y, left to right, as (right, i, j).
-
-    Piece k spans [right of piece k-1 (0 for the first), right) and lies
-    in the cell where x = i and y = j.  Consecutive pieces lie in
-    different cells, because each cut changes the label of x or of y.
+def refinement(x: SimpleRandomVariable, y: SimpleRandomVariable) -> tuple[int, list[Piece]]:
+    """Common refinement of x and y over den = lcm(x.den, y.den), left to
+    right, as (den, pieces).  Piece (right, i, j) spans [right of the
+    piece before (0 for the first), right) over den and lies in the cell
+    where x = i and y = j.  Consecutive pieces lie in different cells,
+    because each cut changes the label of x or of y.
     """
-    xc, xl, yc, yl = x.cuts, x.labels, y.cuts, y.labels
+    den = math.lcm(x.den, y.den)
+    xc, yc = ([cut * (den // v.den) for cut in v.cuts] for v in (x, y))
+    xl, yl = x.labels, y.labels
     pieces: list[Piece] = []
     p = q = 0
     n = len(xl)
@@ -133,13 +145,13 @@ def refinement(x: SimpleRandomVariable, y: SimpleRandomVariable) -> list[Piece]:
             pieces.append((a, xl[p], yl[q]))
             p += 1
             q += 1
-    return pieces
+    return den, pieces
 
 
-def cell_masses(m: int, pieces: Sequence[Piece]) -> tuple[tuple[Fraction, ...], ...]:
-    """measure(x = i and y = j) for all i, j, from a refinement."""
-    mass = [[ZERO] * m for _ in range(m)]
-    left = ZERO
+def cell_masses(m: int, pieces: Sequence[Piece]) -> tuple[tuple[int, ...], ...]:
+    """measure(x = i and y = j) for all i, j, over the refinement's den."""
+    mass = [[0] * m for _ in range(m)]
+    left = 0
     for right, i, j in pieces:
         mass[i][j] += right - left
         left = right
@@ -149,7 +161,9 @@ def cell_masses(m: int, pieces: Sequence[Piece]) -> tuple[tuple[Fraction, ...], 
 def joint_coupling(x: SimpleRandomVariable, y: SimpleRandomVariable) -> CouplingMatrix:
     """Joint mass matrix measure(A_i & B_j); couples law(x) with law(y)."""
     same_space(x.space, y.space)
-    return CouplingMatrix(x.space, cell_masses(x.space.size, refinement(x, y)))
+    den, pieces = refinement(x, y)
+    mass = cell_masses(x.space.size, pieces)
+    return CouplingMatrix(x.space, tuple(tuple(Fraction(w, den) for w in row) for row in mass))
 
 
 def kyfan_rho(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Fraction:
@@ -162,19 +176,21 @@ def realize_coupling(x: SimpleRandomVariable, pi: CouplingMatrix) -> SimpleRando
 
     Requires the row marginal of pi to equal law(x).  Deterministic: the
     j-th piece of the leftmost split of each block A_i by its pi row goes
-    to B_j.  One walk over the slabs of x, with one column pointer per
-    row.  Consequently law(y) is the column marginal and
-    kyfan_rho(x, y) = kyfan_functional(pi).
+    to B_j.  One walk over the slabs of x, on integers over the lcm of
+    all denominators, with one column pointer per row.  Consequently
+    law(y) is the column marginal and kyfan_rho(x, y) = kyfan_functional(pi).
     """
     same_space(x.space, pi.space)
     if law(x) != pi.row_marginal():
         raise PreconditionError("row marginal of the coupling differs from law(x)")
-    mass = pi.mass
+    den = math.lcm(x.den, *(w.denominator for row in pi.mass for w in row))
+    mass = [[w.numerator * (den // w.denominator) for w in row] for row in pi.mass]
+    scale = den // x.den
     col = [0] * x.space.size
     need = [row[0] for row in mass]  # mass of pi[i][col[i]] not yet placed
     slabs = []
     for left, right, i in zip(x.cuts, x.cuts[1:], x.labels):
-        cur = left
+        cur, right = left * scale, right * scale
         while cur < right:
             while not need[i]:
                 col[i] += 1
@@ -183,7 +199,7 @@ def realize_coupling(x: SimpleRandomVariable, pi: CouplingMatrix) -> SimpleRando
             need[i] -= take
             cur += take
             slabs.append((cur, col[i]))
-    return SimpleRandomVariable.from_slabs(x.space, slabs)
+    return SimpleRandomVariable.from_slabs(x.space, den, slabs)
 
 
 def match_to_law(x: SimpleRandomVariable, nu: Measure) -> SimpleRandomVariable:
@@ -199,9 +215,7 @@ def match_to_law(x: SimpleRandomVariable, nu: Measure) -> SimpleRandomVariable:
 
 def canonical_rv(nu: Measure) -> SimpleRandomVariable:
     """Consecutive leftmost slabs of [0, 1) with lengths nu.weights."""
-    cuts, labels = [ZERO], []
-    for j, w in enumerate(nu.weights):
-        if w:
-            cuts.append(cuts[-1] + w)
-            labels.append(j)
-    return SimpleRandomVariable(nu.space, tuple(cuts), tuple(labels))
+    den = math.lcm(*(w.denominator for w in nu.weights))
+    ends = accumulate(w.numerator * (den // w.denominator) for w in nu.weights)
+    slabs = [(end, j) for j, (w, end) in enumerate(zip(nu.weights, ends)) if w]
+    return SimpleRandomVariable.from_slabs(nu.space, den, slabs)

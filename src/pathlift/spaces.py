@@ -2,12 +2,12 @@
 
 Points carry string identifiers; distances and weights are exact
 Fractions.  Metric axioms are validated at construction with a witness
-in the error message; the O(m^3) triangle check runs on integers, the
-distances scaled by their common denominator.  Each space also sorts its
-distances once, on first use: ``distance_levels`` lists the distinct
-positive distances with the point pairs at each, which the Ky Fan
-functional and the Prokhorov max-flow sweep instead of rescanning all
-m^2 pairs per threshold.
+in the error message; the O(m^3) triangle check, like a coupling's
+unit-mass check, runs on integers, the values scaled by their lcm.  Each
+space also sorts its distances once, on first use: ``distance_levels``
+lists the distinct positive distances with the point pairs at each,
+which the Ky Fan functional and the Prokhorov max-flow sweep instead of
+rescanning all m^2 pairs per threshold.
 """
 
 from __future__ import annotations
@@ -148,14 +148,14 @@ class CouplingMatrix:
         m = self.space.size
         if len(self.mass) != m or any(len(row) != m for row in self.mass):
             raise PreconditionError("coupling matrix is not square of matching size")
-        total = ZERO
         for row in self.mass:
             for x in row:
-                if x < ZERO:
+                if x.numerator < 0:
                     raise PreconditionError(f"negative coupling mass {x}")
-                total += x
-        if total != ONE:
-            raise PreconditionError(f"coupling total mass {total} != 1")
+        den = math.lcm(*(x.denominator for row in self.mass for x in row))
+        total = sum(x.numerator * (den // x.denominator) for row in self.mass for x in row)
+        if total != den:
+            raise PreconditionError(f"coupling total mass {Fraction(total, den)} != 1")
 
     def row_marginal(self) -> Measure:
         return Measure(self.space, tuple(sum(row, ZERO) for row in self.mass))

@@ -6,9 +6,11 @@ calling the library code paths they check.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -16,6 +18,14 @@ from pathlift import CouplingMatrix, IntervalSet, Measure, SimpleRandomVariable,
 from pathlift.omega import ONE, ZERO
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH, so
+    that child processes import the library under test."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def kyfan_bruteforce(pi: CouplingMatrix) -> Fraction:

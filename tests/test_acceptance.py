@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from helpers import subprocess_env
 from pathlift import (
     CubeInterpolation,
     CubeLift,
@@ -221,8 +222,8 @@ def test_criterion_9_cube_lifting():
 
 def test_criterion_10_selftest_determinism():
     cmd = [sys.executable, "-m", "pathlift", "selftest", "--seed", "0"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=subprocess_env())
+    second = subprocess.run(cmd, capture_output=True, env=subprocess_env())
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import subprocess_env
 from pathlift import canonical_rv, dirac, lift_polygonal, validate_space
 from pathlift import gen
 from pathlift.cli import main
@@ -287,7 +288,7 @@ class TestSelftestCommand:
 
     def test_deterministic_across_processes(self):
         cmd = [sys.executable, "-m", "pathlift", "selftest", "--seed", "0"]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        first = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
+        second = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout

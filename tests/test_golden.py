@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import distinct_space
+from helpers import distinct_space, subprocess_env
 from pathlift import canonical_rv, lift_polygonal, match_to_law, mixture
 from pathlift import gen
 from pathlift.cli import main
@@ -244,12 +243,11 @@ def report_digest(name: str, seed: int) -> str:
 
 
 def _run_script(name: str, *args: str) -> bytes:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env(),
     )
     return result.stdout
 

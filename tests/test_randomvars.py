@@ -54,16 +54,17 @@ class TestConstruction:
             SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), IntervalSet.empty()))
 
     @pytest.mark.parametrize(
-        "cuts, labels",
+        "den, cuts, labels",
         [
-            ((F(1, 4), F(1)), (0,)),
-            ((Z, F(1, 2)), (0,)),
-            ((Z, F(1, 2), F(1, 2), F(1)), (0, 1, 0)),
-            ((Z, F(3, 4), F(1, 2), F(1)), (0, 1, 0)),
-            ((Z, F(1, 2), F(1)), (0, 2)),
-            ((Z, F(1, 2), F(1)), (-1, 0)),
-            ((Z, F(1, 2), F(1)), (1, 1)),
-            ((Z, F(1, 2), F(1)), (0,)),
+            (4, (1, 4), (0,)),
+            (2, (0, 1), (0,)),
+            (2, (0, 1, 1, 2), (0, 1, 0)),
+            (4, (0, 3, 2, 4), (0, 1, 0)),
+            (2, (0, 1, 2), (0, 2)),
+            (2, (0, 1, 2), (-1, 0)),
+            (2, (0, 1, 2), (1, 1)),
+            (2, (0, 1, 2), (0,)),
+            (4, (0, 2, 4), (0, 1)),
         ],
         ids=[
             "start-not-0",
@@ -74,17 +75,26 @@ class TestConstruction:
             "label-negative",
             "equal-adjacent-labels",
             "label-count",
+            "not-lowest-terms",
         ],
     )
-    def test_slab_contract(self, cuts, labels):
+    def test_slab_contract(self, den, cuts, labels):
         with pytest.raises(PreconditionError):
-            SimpleRandomVariable(two_point_space(F(1)), cuts, labels)
+            SimpleRandomVariable(two_point_space(F(1)), den, cuts, labels)
 
     def test_slabs_and_blocks_agree(self):
         space = two_point_space(F(1))
-        x = SimpleRandomVariable(space, (Z, F(1, 4), F(1, 2), F(1)), (1, 0, 1))
+        x = SimpleRandomVariable(space, 4, (0, 1, 2, 4), (1, 0, 1))
         assert x.blocks == (iset((F(1, 4), F(1, 2))), iset((0, F(1, 4)), (F(1, 2), 1)))
         assert SimpleRandomVariable.from_blocks(space, x.blocks) == x
+
+    def test_from_slabs_divides_out_the_gcd(self):
+        space = two_point_space(F(1))
+        x = SimpleRandomVariable.from_slabs(space, 4, [(1, 1), (2, 1), (4, 0)])
+        y = SimpleRandomVariable.from_slabs(space, 2, [(1, 1), (2, 0)])
+        assert x == y
+        assert (x.den, x.cuts, x.labels) == (2, (0, 1, 2), (1, 0))
+        assert x.blocks == y.blocks == (iset((F(1, 2), 1)), iset((0, F(1, 2))))
 
     def test_empty_blocks_allowed(self):
         space = two_point_space(F(1))
@@ -260,7 +270,7 @@ class TestSlabsAgainstBlockOracle:
     def test_segment_eval(self, bundle, r):
         _, _, x, y = bundle
         seg = segment_lift(x, y, Z, F(1))
-        times = {Z, F(1), r} | set(x.cuts) | set(y.cuts)
+        times = {Z, F(1), r} | {F(c, x.den) for c in x.cuts} | {F(c, y.den) for c in y.cuts}
         # times at which a cell's moved mass reaches one of its piece ends
         for row in oracle_cells(x, y):
             for cell in row:
