@@ -10,6 +10,7 @@ or unmet hypotheses), 3 internal invariant failure (always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -18,11 +19,9 @@ from .errors import InvariantError, PreconditionError
 from .lifting import (
     DEFAULT_GRID,
     PolygonalPath,
-    certification_grid,
     lift_path,
     lift_polygonal,
     relift_near,
-    sup_rho_on_grid,
     verify_lift,
 )
 from .omega import ONE, ZERO
@@ -177,8 +176,7 @@ def cmd_relift(args):
     if not isinstance(target, PolygonalPath):
         raise PreconditionError("relift expects a polygonal target path")
     eps = parse_frac(args.tol)
-    relifted = relift_near(prev, target, eps)
-    drift = sup_rho_on_grid(prev, relifted, certification_grid(relifted))
+    relifted, drift = relift_near(prev, target, eps)
     cert = verify_lift(
         relifted,
         target,
@@ -257,7 +255,10 @@ def cmd_selftest(args):
     return 0 if ok else 3
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves no
+    state in it, and each build leaves its objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="pathlift",
         description=(

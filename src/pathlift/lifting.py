@@ -8,7 +8,9 @@ exactly, and it contracts rho at rate 1 / (segment length).  The lift
 caches the common refinement of its endpoint slabs as (right, i, j)
 pieces over one denominator plus the cell masses; an evaluation at
 s = p / q is one walk over the pieces on integers over den * q, with a
-"mass still to move" counter per cell, merging equal neighbours.
+"mass still to move" counter per cell, merging equal neighbours.  rho
+between two times of one segment is the Ky Fan sweep of cached per-level
+tail masses scaled by the time difference, with no evaluation.
 
 Polygonal paths of measures are lifted segment by segment with
 prescribed endpoint variables; an arbitrary Lipschitz path of measures
@@ -21,7 +23,7 @@ exact rational.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,7 +31,9 @@ from typing import Callable, Sequence
 
 from .errors import PreconditionError
 from .omega import ONE, ZERO
-from .prokhorov import prokhorov, prokhorov_coupling
+from .prokhorov import (
+    _kyfan_from_tails, _level_tails, prokhorov, prokhorov_coupling, total_variation
+)
 from .randomvars import (
     Piece,
     SimpleRandomVariable,
@@ -101,16 +105,31 @@ class SegmentLift:
     def masses(self) -> tuple[tuple[int, ...], ...]:
         return cell_masses(self.space.size, self.refinement[1])
 
+    @cached_property
+    def tails(self) -> list[int]:
+        """Cell mass at distance >= each distance level, over the refinement's den."""
+        return _level_tails(self.space.distance_levels, self.masses)
+
     @property
     def space(self) -> FiniteMetricSpace:
         return self.x.space
 
-    def eval(self, t: Fraction) -> SimpleRandomVariable:
+    def _local(self, t: Fraction) -> Fraction:
         t = Fraction(t)
         if t < self.a or t > self.b:
             raise PreconditionError(f"time {t} outside [{self.a}, {self.b}]")
-        s = (t - self.a) / (self.b - self.a)
-        return transfer_blocks(self.space, *self.refinement, self.masses, s)
+        return (t - self.a) / (self.b - self.a)
+
+    def eval(self, t: Fraction) -> SimpleRandomVariable:
+        return transfer_blocks(self.space, *self.refinement, self.masses, self._local(t))
+
+    def rho_between(self, s: Fraction, t: Fraction) -> Fraction:
+        """rho(eval(s), eval(t)), exact and nondecreasing in |s - t|: cell (i, j)
+        moves r = |s - t| / (b - a) of its mass from i to j in between, so
+        the joint law is r * masses off the diagonal; no evaluation."""
+        r = abs(self._local(t) - self._local(s))
+        tails = [r.numerator * w for w in self.tails]
+        return _kyfan_from_tails(self.space.distance_levels, tails, self.refinement[0] * r.denominator)
 
 
 def segment_lift(
@@ -157,8 +176,8 @@ class SampledPath:
     and spot-checked at query time against the adjacent already-queried
     times; by the triangle inequality this certifies every queried pair,
     and any violated pair forces a violated adjacent pair, so violations
-    cannot go unnoticed.  Values are memoized, so repeated queries are
-    exact and cheap.
+    cannot go unnoticed; a pair is certified by total variation (q <= TV)
+    or else by max-flow.  Values are memoized, so queries repeat cheaply.
     """
 
     def __init__(
@@ -204,8 +223,11 @@ class SampledPath:
         for nb_idx in (pos - 1, pos):
             if 0 <= nb_idx < len(self._times):
                 nb = self._times[nb_idx]
+                bound = self.lipschitz * abs(t - nb)
+                if total_variation(self._values[nb], value) <= bound:
+                    continue  # q <= TV, since A lies inside A^eps
                 gap = prokhorov(self._values[nb], value)
-                if gap > self.lipschitz * abs(t - nb):
+                if gap > bound:
                     raise PreconditionError(
                         f"declared Lipschitz constant {self.lipschitz} violated: "
                         f"q(path({nb}), path({t})) = {gap} > "
@@ -320,7 +342,7 @@ def _refined_grid(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> list[
     return sorted(points)
 
 
-def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> LiftedPath:
+def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[LiftedPath, Fraction]:
     """Lift beta while staying within 5 * eps of prev in rho, everywhere.
 
     Precondition (checked on the refined verification grid): the law of
@@ -328,6 +350,8 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> LiftedP
     laws exactly.  The endpoints of prev are kept; interior vertices are
     matches of prev to beta at breakpoints refined until prev oscillates
     less than eps per piece.
+    Also returns the drift, max rho(prev, relifted) on certification_grid(relifted):
+    at a vertex it is the Prokhorov gap its coupling attains; midpoints are evaluated.
     """
     eps = Fraction(eps)
     if eps < ZERO:
@@ -342,19 +366,24 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> LiftedP
     # the endpoint gaps are 0 by the checks above; each interior point's
     # coupling serves both the budget check and the match
     variables = [snapshots[grid[0]]]
+    drift = ZERO
     for t in grid[1:-1]:
         gap, witness = prokhorov_coupling(law(snapshots[t]), beta.eval(t))
         if gap > eps:
             raise PreconditionError(
                 f"law gap {gap} at t = {t} exceeds the declared budget {eps}"
             )
+        drift = max(drift, gap)
         variables.append(realize_coupling(snapshots[t], witness))
     variables.append(snapshots[grid[-1]])
     segments = tuple(
         segment_lift(variables[i], variables[i + 1], grid[i], grid[i + 1])
         for i in range(len(variables) - 1)
     )
-    return LiftedPath(segments)
+    for seg in segments:
+        mid = (seg.a + seg.b) / 2
+        drift = max(drift, kyfan_rho(prev.eval(mid), seg.eval(mid)))
+    return LiftedPath(segments), drift
 
 
 def certification_grid(lift: LiftedPath) -> list[Fraction]:
@@ -367,6 +396,7 @@ def certification_grid(lift: LiftedPath) -> list[Fraction]:
 def sup_rho_on_grid(
     first: LiftedPath, second: LiftedPath, grid: Sequence[Fraction]
 ) -> Fraction:
+    """max rho(first(t), second(t)) over grid by evaluation: the drift oracle."""
     return max(kyfan_rho(first.eval(t), second.eval(t)) for t in grid)
 
 
@@ -376,11 +406,12 @@ class Certificate:
 
     max_law_gap is the sup over the grid of the Prokhorov distance from
     the lift's pointwise law to the target path; continuity_table lists
-    rho between consecutive grid evaluations; endpoint_ok records the
-    two endpoint checks; decay_table is the per-iteration sup-rho
-    between successive liftings of the iterative pipeline (empty when a
-    single lift is verified).  Everything is recomputable from the lift
-    and the target.
+    rho between values at consecutive grid points, each bounding rho
+    between any two times of its interval; endpoint_ok records the two
+    endpoint checks; decay_table is the per-iteration sup-rho between
+    successive liftings of the iterative pipeline (empty when a single
+    lift is verified).  Everything is recomputable from the lift and
+    the target.
     """
 
     grid: tuple[Fraction, ...]
@@ -400,10 +431,10 @@ def verify_lift(
     """Certificate of a lift against a target path over an exact grid.
 
     The grid is grid_n uniform points joined with every breakpoint of
-    the lift (and of the target when polygonal).  Between grid points
-    the continuity entries extend to a true bound: rho over a whole
-    piece never exceeds the table entry plus 2 * (grid step) / (length
-    of the containing piece), by the segment Lipschitz property.
+    the lift (and of the target when polygonal), so consecutive grid
+    points lie in one segment and each continuity entry is its
+    rho_between: nondecreasing in |s - t|, so it bounds rho between any
+    two times of its grid interval.  Laws and endpoints are evaluated.
 
     With ``endpoints`` given, endpoint_ok compares the lift's endpoint
     variables to the prescribed ones exactly; otherwise it compares
@@ -419,8 +450,10 @@ def verify_lift(
     values = [lift.eval(t) for t in grid]
     laws = [law(v) for v in values]
     gaps = [prokhorov(lw, target.eval(t)) for t, lw in zip(grid, laws)]
+    bps = lift.breakpoints
     continuity = tuple(
-        kyfan_rho(values[k], values[k + 1]) for k in range(len(values) - 1)
+        lift.segments[bisect_left(bps, t) - 1].rho_between(s, t)
+        for s, t in zip(grid, grid[1:])
     )
     if endpoints is not None:
         endpoint_ok = (values[0] == endpoints[0], values[-1] == endpoints[1])
@@ -469,9 +502,8 @@ def lift_path(
     decay = []
     for n in range(1, iterations):
         beta = approximate_polygonal(alpha, eps[n])
-        relifted = relift_near(lift, beta, eps[n - 1] + eps[n])
-        decay.append(sup_rho_on_grid(lift, relifted, certification_grid(relifted)))
-        lift = relifted
+        lift, drift = relift_near(lift, beta, eps[n - 1] + eps[n])
+        decay.append(drift)
     certificate = verify_lift(
         lift,
         alpha,

@@ -11,8 +11,9 @@ the pairs of one distance level of the space per interval, so each call
 does one O(m^2) BFS per augmentation and no rescan of the m^2 pairs per
 threshold.  ``kyfan_functional`` costs O(m^2) per call: one descending
 sweep of integer tail sums over the same levels, masses and distances
-scaled to one lcm.  ``prokhorov`` returns 0 without a
-max-flow when the two measures are equal.
+scaled to one lcm; segment lifts run the same sweep on their cached
+tails.  ``prokhorov`` returns 0 without a max-flow when the two
+measures are equal, and ``total_variation`` is an upper bound on it.
 
 ``prokhorov_subsets`` is the enumeration oracle over the defining
 inequalities mu(A) <= nu(A^eps) + eps for every subset A of the (finite)
@@ -61,24 +62,37 @@ def _upward_infimum(cuts: list[int], values: list[int]) -> int:
     return best
 
 
+def _level_tails(levels, mass) -> list[int]:
+    """Integer tail masses mass{d >= cut} per distance level, then a closing 0."""
+    tails = [0] * (len(levels) + 1)
+    for k in range(len(levels) - 1, -1, -1):
+        tails[k] = tails[k + 1] + sum(mass[i][j] for i, j in levels[k][1])
+    return tails
+
+
+def _kyfan_from_tails(levels, tails: list[int], den: int) -> Fraction:
+    """The Ky Fan infimum of tail masses over den; tails and distances over one lcm."""
+    unit = math.lcm(den, *(cut.denominator for cut, _ in levels))
+    cuts = [cut.numerator * (unit // cut.denominator) for cut, _ in levels]
+    return Fraction(_upward_infimum(cuts, [v * (unit // den) for v in tails]), unit)
+
+
 def kyfan_functional(pi: CouplingMatrix) -> Fraction:
     """inf{eps > 0 : pi{(x, y) : d(x, y) >= eps} <= eps}, exact.
 
-    Masses and distance levels are scaled to integers over one lcm; one
-    descending sweep over the levels accumulates the tail masses
-    pi{d >= cut}: O(m^2) additions per call.
+    The masses are scaled to integers over their lcm, then one descending
+    sweep over the levels sums the tails pi{d >= cut}: O(m^2) per call.
     """
     levels = pi.space.distance_levels
-    den = math.lcm(*(x.denominator for row in pi.mass + pi.space.dist for x in row))
+    den = math.lcm(*(w.denominator for row in pi.mass for w in row))
     mass = [[w.numerator * (den // w.denominator) for w in row] for row in pi.mass]
-    values = [0] * (len(levels) + 1)
-    tail = 0
-    for k in range(len(levels) - 1, -1, -1):
-        for i, j in levels[k][1]:
-            tail += mass[i][j]
-        values[k] = tail
-    cuts = [cut.numerator * (den // cut.denominator) for cut, _ in levels]
-    return Fraction(_upward_infimum(cuts, values), den)
+    return _kyfan_from_tails(levels, _level_tails(levels, mass), den)
+
+
+def total_variation(mu: Measure, nu: Measure) -> Fraction:
+    """(1/2) sum |mu_i - nu_i|; q <= TV, witnessed by the maximal coupling."""
+    same_space(mu.space, nu.space)
+    return sum((abs(a - b) for a, b in zip(mu.weights, nu.weights)), ZERO) / 2
 
 
 class _FlowState:

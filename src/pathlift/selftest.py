@@ -200,6 +200,17 @@ def _suite_segment_regularity(rng, n=30):
     return ok, n
 
 
+def _suite_segment_rho_closed_form(rng, n=30):
+    ok = 0
+    for _ in range(n):
+        space = gen.rand_space(rng, rng.randint(2, 4))
+        seg = segment_lift(gen.rand_rv(rng, space), gen.rand_rv(rng, space), ZERO, ONE)
+        s, t, u = sorted(gen.rand_fraction(rng) for _ in range(3))
+        good = seg.rho_between(u, s) == kyfan_rho(seg.eval(s), seg.eval(u))
+        ok += good and seg.rho_between(t, u) <= seg.rho_between(s, u)
+    return ok, n
+
+
 def _suite_polygonal_lift(rng, n=12):
     ok = 0
     for _ in range(n):
@@ -227,9 +238,10 @@ def _suite_relift_bound(rng, n=8):
         )
         eps = Fraction(1, rng.randint(3, 6))
         target = _perturb_polygonal(rng, beta, eps)
-        relifted = relift_near(prev, target, eps)
+        relifted, drift = relift_near(prev, target, eps)
         grid = certification_grid(relifted)
-        good = sup_rho_on_grid(prev, relifted, grid) <= 5 * eps
+        good = drift == sup_rho_on_grid(prev, relifted, grid)
+        good &= drift <= 5 * eps
         cert = verify_lift(relifted, target, grid_n=9)
         good &= cert.max_law_gap == ZERO
         ok += good
@@ -293,6 +305,7 @@ _SUITES = [
     ("kyfan-scan-oracle", _suite_rho_scan_oracle),
     ("segment-law-mixture", _suite_segment_law_mixture),
     ("segment-regularity", _suite_segment_regularity),
+    ("segment-rho-closed-form", _suite_segment_rho_closed_form),
     ("polygonal-lift-law", _suite_polygonal_lift),
     ("relift-five-eps", _suite_relift_bound),
     ("cube-law-identity", _suite_cube_law),

@@ -168,8 +168,9 @@ def test_criterion_7_relift_bound():
         )
         eps = F(1, rng.randint(3, 8))
         target = _perturb(rng, beta, eps)
-        relifted = relift_near(prev, target, eps)
-        assert sup_rho_on_grid(prev, relifted, certification_grid(relifted)) <= 5 * eps
+        relifted, drift = relift_near(prev, target, eps)
+        assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
+        assert drift <= 5 * eps
         cert = verify_lift(relifted, target, grid_n=9)
         assert cert.max_law_gap == Z
     report(7, f"certified sup rho <= 5 eps and exact lifting on {runs} relifts")

@@ -9,7 +9,7 @@ import pytest
 from helpers import subprocess_env
 from pathlift import canonical_rv, dirac, lift_polygonal, validate_space
 from pathlift import gen
-from pathlift.cli import main
+from pathlift.cli import build_parser, main
 from pathlift.lifting import PolygonalPath
 from pathlift.serialize import (
     blocks_to_obj,
@@ -210,6 +210,29 @@ class TestVerifyAndRelift:
         assert main(["relift", lf, pf, "--tol", "1/4", "--grid", "9"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["max_law_gap"] == "0/1"
+
+
+class TestParserOnce:
+    def test_two_calls_share_the_parser_and_no_state(self, tmp_path, capsys):
+        rng = random.Random(65)
+        space = gen.rand_space(rng, 3)
+        beta = gen.rand_polygonal(rng, space, 3)
+        start, end = canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
+        pf = write(tmp_path / "path.json", polygonal_to_obj(beta))
+        ends = {"space": space_to_obj(space), "start": blocks_to_obj(start), "end": blocks_to_obj(end)}
+        ef = write(tmp_path / "ends.json", ends)
+        out = tmp_path / "lift.json"
+        build_parser.cache_clear()
+        assert main(["lift", pf, ef, "--grid", "9", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["certificate"]["grid"]) < 20
+        lf = write(tmp_path / "lift_only.json", doc["lift"])
+        # no --grid: the default, not the 9 of the call before
+        assert main(["verify", lf, pf]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert len(cert["grid"]) >= 257
+        assert build_parser.cache_info().misses == 1
+        assert build_parser.cache_info().hits == 1
 
 
 class TestCubeCommand:

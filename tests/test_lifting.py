@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from pathlift import (
     validate_space,
     verify_lift,
 )
-from pathlift import gen
+from pathlift import gen, lifting
 from pathlift.lifting import certification_grid, sup_rho_on_grid
 
 F = Fraction
@@ -135,6 +136,40 @@ class TestSegmentLift:
         seg = segment_lift(x, y, Z, F(1))
         assert kyfan_rho(x, seg.eval(u)) <= kyfan_rho(x, y)
 
+    @given(
+        space_with(n_rvs=2, max_size=6, max_slabs=10),
+        fractions01(max_den=60),
+        fractions01(max_den=60),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rho_between_is_kyfan_of_two_evaluations(self, bundle, r, u):
+        _, x, y = bundle
+        seg = segment_lift(x, y, Z, F(1))
+        times = sorted(
+            {Z, F(1), r, u} | {F(c, x.den) for c in x.cuts} | {F(c, y.den) for c in y.cuts}
+        )
+        values = [seg.eval(t) for t in times]
+        by_gap = []
+        for s, vs in zip(times, values):
+            for t, vt in zip(times, values):
+                rho = seg.rho_between(s, t)
+                assert rho == kyfan_rho(vs, vt)
+                by_gap.append((abs(s - t), rho))
+        # a function of |s - t| alone, nondecreasing in it
+        by_gap.sort()
+        assert all(a[1] <= b[1] for a, b in zip(by_gap, by_gap[1:]))
+        shifted = segment_lift(x, y, F(1, 3), F(2))
+        s, t = F(1, 3) + r * F(5, 3), F(1, 3) + u * F(5, 3)
+        assert shifted.rho_between(s, t) == kyfan_rho(shifted.eval(s), shifted.eval(t))
+        assert shifted.rho_between(s, t) == seg.rho_between(r, u)
+
+    def test_rho_between_outside_interval(self):
+        space = two_point_space()
+        x = canonical_rv(dirac(space, "a"))
+        seg = segment_lift(x, x, F(1, 4), F(3, 4))
+        with pytest.raises(PreconditionError, match="outside"):
+            seg.rho_between(F(1, 2), F(7, 8))
+
 
 class TestLiftPolygonal:
     def test_single_segment_case(self):
@@ -201,6 +236,45 @@ class TestSampledPath:
         for k in range(9):
             path.eval(F(k, 8))
 
+    def test_total_variation_screen_certifies_polygonal_pairs(self, monkeypatch):
+        # on a polygonal, TV between path points is at most |s - t| / piece
+        # length, so every neighbour pair is certified with no max-flow
+        calls = []
+        monkeypatch.setattr(lifting, "prokhorov", lambda mu, nu: calls.append(1))
+        beta = gen.rand_polygonal(random.Random(7), gen.rand_space(random.Random(8), 3), 4)
+        path = SampledPath.from_polygonal(beta)
+        for k in range(17):
+            path.eval(F(k, 16))
+        assert calls == []
+
+    def test_screen_falls_through_to_max_flow(self, monkeypatch):
+        # diracs at distance 1/10: TV = 1 > L * |dt| = 1/5 >= q = 1/10
+        space = two_point_space(F(1, 10))
+        mu, nu = dirac(space, "a"), dirac(space, "b")
+        flows = []
+
+        def counted(a, b):
+            flows.append((a, b))
+            return prokhorov(a, b)
+
+        monkeypatch.setattr(lifting, "prokhorov", counted)
+        path = SampledPath(space, lambda t: mu if t < F(1, 2) else nu, F(1, 5))
+        path.eval(Z)
+        assert path.eval(F(1)) == nu
+        assert flows == [(mu, nu)]
+
+    def test_violation_past_the_screen_raises(self):
+        space = two_point_space(F(1, 10))
+        mu, nu = dirac(space, "a"), dirac(space, "b")
+        path = SampledPath(space, lambda t: mu if t < F(1, 2) else nu, F(1, 20))
+        path.eval(Z)
+        message = (
+            "declared Lipschitz constant 1/20 violated: "
+            "q(path(0), path(1)) = 1/10 > 1/20 * 1"
+        )
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            path.eval(F(1))
+
     def test_endpoints_exact(self):
         rng = random.Random(5)
         space = gen.rand_space(rng, 3)
@@ -265,8 +339,9 @@ class TestReliftNear:
         prev = lift_polygonal(
             beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
         )
-        relifted = relift_near(prev, prev.law_path(), Z)
+        relifted, drift = relift_near(prev, prev.law_path(), Z)
         assert relifted == prev
+        assert drift == 0
 
     def test_five_eps_bound(self):
         rng = random.Random(32)
@@ -278,9 +353,10 @@ class TestReliftNear:
             )
             eps = F(1, rng.randint(3, 8))
             target = perturb_within(rng, beta, eps)
-            relifted = relift_near(prev, target, eps)
+            relifted, drift = relift_near(prev, target, eps)
             grid = certification_grid(relifted)
-            assert sup_rho_on_grid(prev, relifted, grid) <= 5 * eps
+            assert drift == sup_rho_on_grid(prev, relifted, grid)
+            assert drift <= 5 * eps
             cert = verify_lift(relifted, target, grid_n=17)
             assert cert.max_law_gap == 0
             assert relifted.eval(Z) == prev.eval(Z)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     distinct_space,
@@ -24,6 +25,7 @@ from pathlift import (
     validate_space,
 )
 from pathlift import gen
+from pathlift.prokhorov import total_variation
 
 F = Fraction
 Z = F(0)
@@ -224,3 +226,32 @@ class TestLargerSpaces:
                 value, witness = prokhorov_coupling(mu, nu)
                 assert value == prokhorov_subsets(mu, nu)
                 assert kyfan_bruteforce(witness) == value
+
+
+class TestTotalVariation:
+    """q <= TV: every A lies inside A^eps, so the maximal coupling, with
+    min(mu_i, nu_i) on the diagonal, meets the Ky Fan condition at TV."""
+
+    def test_diracs(self):
+        space = two_point_space(F(1, 10))
+        mu, nu = dirac(space, "a"), dirac(space, "b")
+        assert total_variation(mu, nu) == 1
+        assert total_variation(mu, mu) == 0
+
+    @given(
+        st.integers(2, 64),
+        st.integers(0, 2**32),
+        st.sampled_from([F(1), F(1, 4), F(1, 16)]),
+        fractions01(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prokhorov_at_most_total_variation(self, m, seed, scale, share):
+        rng = random.Random(seed)
+        base = distinct_space(rng, m)
+        # scaling a metric keeps it a metric, and moves distances below TV
+        space = validate_space(base.points, [[d * scale for d in row] for row in base.dist])
+        mu = gen.rand_measure(rng, space, 7 * 11)
+        nu = mixture(mu, gen.rand_measure(rng, space, 9 * 13), share)
+        tv = sum(abs(a - b) for a, b in zip(mu.weights, nu.weights)) / 2
+        assert total_variation(mu, nu) == tv
+        assert prokhorov(mu, nu) <= tv
