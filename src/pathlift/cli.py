@@ -19,6 +19,7 @@ from .errors import InvariantError, PreconditionError
 from .lifting import (
     DEFAULT_GRID,
     PolygonalPath,
+    decay_budgets,
     lift_path,
     lift_polygonal,
     relift_near,
@@ -52,6 +53,11 @@ from .serialize import (
 from .spaces import same_space
 
 MAX_CUBE_DIM = 3
+
+
+def _grid(args, default=DEFAULT_GRID):
+    """--grid when given, even when it is too small to use, else default."""
+    return default if args.grid is None else args.grid
 
 
 def _emit(doc, out_path):
@@ -138,7 +144,7 @@ def cmd_segment(args):
     same_space(x.space, y.space)
     beta = PolygonalPath(x.space, (ZERO, ONE), (law(x), law(y)))
     lift = lift_polygonal(beta, x, y)
-    cert = verify_lift(lift, beta, grid_n=args.grid or DEFAULT_GRID, endpoints=(x, y))
+    cert = verify_lift(lift, beta, grid_n=_grid(args), endpoints=(x, y))
     doc = {"lift": lift_to_obj(lift), "certificate": certificate_to_obj(cert)}
     _emit(doc, args.out)
     ok = cert.max_law_gap == ZERO and all(cert.endpoint_ok)
@@ -148,7 +154,7 @@ def cmd_segment(args):
 def cmd_lift(args):
     target = path_from_obj(load_json(args.path))
     x_start, x_end = _load_endpoints(args.endpoints)
-    grid_n = args.grid or DEFAULT_GRID
+    grid_n = _grid(args)
     if isinstance(target, PolygonalPath):
         lift = lift_polygonal(target, x_start, x_end)
         cert = verify_lift(lift, target, grid_n=grid_n, endpoints=(x_start, x_end))
@@ -158,8 +164,7 @@ def cmd_lift(args):
         lift, cert = lift_path(
             target, x_start, x_end, tol, args.iters, grid_n=grid_n
         )
-        eps = [tol * 5 ** (args.iters - 1 - n) for n in range(args.iters)]
-        budgets = [5 * (eps[n] + eps[n + 1]) for n in range(args.iters - 1)]
+        _, budgets = decay_budgets(tol, args.iters)
         ok = (
             cert.max_law_gap <= tol
             and all(cert.endpoint_ok)
@@ -180,7 +185,7 @@ def cmd_relift(args):
     cert = verify_lift(
         relifted,
         target,
-        grid_n=args.grid or DEFAULT_GRID,
+        grid_n=_grid(args),
         decay_table=(drift,),
     )
     doc = {"lift": lift_to_obj(relifted), "certificate": certificate_to_obj(cert)}
@@ -192,7 +197,7 @@ def cmd_relift(args):
 def cmd_verify(args):
     lift = lift_from_obj(load_json(args.lift))
     target = path_from_obj(load_json(args.path))
-    cert = verify_lift(lift, target, grid_n=args.grid or DEFAULT_GRID)
+    cert = verify_lift(lift, target, grid_n=_grid(args))
     _emit(certificate_to_obj(cert), args.out)
     tol = parse_frac(args.tol) if args.tol else ZERO
     ok = cert.max_law_gap <= tol and all(cert.endpoint_ok)
@@ -205,6 +210,8 @@ def cmd_cube(args):
         raise PreconditionError(
             f'{args.corners}: expected {{"space": ..., "corners": [...]}}'
         )
+    if not isinstance(obj["corners"], list):
+        raise PreconditionError(f'{args.corners}: "corners" must be a list of weight lists')
     space = space_from_obj(obj["space"])
     corners = tuple(weights_from_obj(space, w) for w in obj["corners"])
     interp = CubeInterpolation(space, corners)
@@ -212,7 +219,7 @@ def cmd_cube(args):
         raise PreconditionError(
             f"cube dimension {interp.dimension} exceeds the cap {MAX_CUBE_DIM}"
         )
-    per_axis = args.grid or 9
+    per_axis = _grid(args, default=9)
     if per_axis < 2:
         raise PreconditionError("cube grid needs at least 2 points per axis")
     axis = [Fraction(i, per_axis - 1) for i in range(per_axis)]

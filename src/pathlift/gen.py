@@ -11,9 +11,9 @@ import random
 from fractions import Fraction
 
 from .lifting import PolygonalPath, SampledPath
-from .omega import ONE, ZERO, IntervalSet
+from .omega import ONE, ZERO
 from .randomvars import SimpleRandomVariable
-from .spaces import FiniteMetricSpace, Measure, validate_space
+from .spaces import FiniteMetricSpace, Measure, mixture, validate_space
 
 _POINT_NAMES = "abcdefghijklmnop"
 
@@ -61,15 +61,6 @@ def rand_measure(rng: random.Random, space: FiniteMetricSpace, den: int = 24) ->
     return Measure(space, weights)
 
 
-def rand_interval_set(rng: random.Random, max_pieces: int = 4, den: int = 40) -> IntervalSet:
-    cuts = sorted(rng.sample(range(den + 1), min(2 * max_pieces, den + 1)))
-    pairs = []
-    for i in range(0, len(cuts) - 1, 2):
-        if rng.random() < 0.7:
-            pairs.append((Fraction(cuts[i], den), Fraction(cuts[i + 1], den)))
-    return IntervalSet.from_pairs(pairs)
-
-
 def rand_rv(rng: random.Random, space: FiniteMetricSpace, slabs: int = 8, den: int = 48) -> SimpleRandomVariable:
     """Random labeled partition: random slab cuts, random labels."""
     ends = sorted(rng.sample(range(1, den), min(slabs - 1, den - 1))) + [den]
@@ -84,6 +75,17 @@ def rand_polygonal(
     bps = (ZERO,) + tuple(Fraction(c, den) for c in interior) + (ONE,)
     verts = tuple(rand_measure(rng, space) for _ in range(vertices))
     return PolygonalPath(space, bps, verts)
+
+
+def perturb_polygonal(rng: random.Random, beta: PolygonalPath, eps: Fraction) -> PolygonalPath:
+    """Same endpoints, interior vertices mixed toward a random measure
+    by at most eps of mass, so the sup law gap to beta stays within eps."""
+    verts = [beta.vertices[0]]
+    for v in beta.vertices[1:-1]:
+        noise = rand_measure(rng, beta.space)
+        verts.append(mixture(v, noise, eps * rng.randint(0, 4) / 4))
+    verts.append(beta.vertices[-1])
+    return PolygonalPath(beta.space, beta.breakpoints, tuple(verts))
 
 
 def rand_sampled(

@@ -468,6 +468,14 @@ def verify_lift(
     )
 
 
+def decay_budgets(tol: Fraction, iterations: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The round tolerances eps_n = tol * 5^(iterations - 1 - n) of
+    ``lift_path`` and the budgets 5 * (eps_n + eps_{n+1}) that bound its
+    decay table, entry n being the drift of round n + 1's relift."""
+    eps = [tol * 5 ** (iterations - 1 - n) for n in range(iterations)]
+    return eps, [5 * (eps[n] + eps[n + 1]) for n in range(iterations - 1)]
+
+
 def lift_path(
     alpha: SampledPath,
     x_start: SimpleRandomVariable,
@@ -496,7 +504,7 @@ def lift_path(
         raise PreconditionError("left endpoint law differs from the path at 0")
     if law(x_end) != alpha.eval(ONE):
         raise PreconditionError("right endpoint law differs from the path at 1")
-    eps = [tol * 5 ** (iterations - 1 - n) for n in range(iterations)]
+    eps, _ = decay_budgets(tol, iterations)
     beta = approximate_polygonal(alpha, eps[0])
     lift = lift_polygonal(beta, x_start, x_end)
     decay = []

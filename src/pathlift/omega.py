@@ -1,25 +1,17 @@
-"""Exact set algebra on the unit interval [0, 1) with Lebesgue measure.
+"""Measurable subsets of the unit interval [0, 1) with Lebesgue measure.
 
-A measurable set is a finite union of half-open rational intervals
-[left, right), stored in canonical form: intervals sorted, pairwise
-disjoint, never adjacent.  Canonical form makes structural equality
-agree with set equality, so ``==`` is an exact set comparison and every
-measure is an exact ``Fraction``.
-
-The space is nonatomic in a constructive sense, realized by "leftmost
-carving": ``prefix`` takes any requested mass from a set by walking it
-left to right, and ``split`` cuts a set into consecutive slabs of
-prescribed masses.
-
-Every operation normalizes its output (merging adjacent intervals), so
-interval counts never blow up beyond the input sizes, and each op runs
-in time linear in the total interval count of its operands.
+A set is a finite union of half-open rational intervals [left, right),
+stored in canonical form: intervals sorted, pairwise disjoint, never
+adjacent.  Canonical form makes structural equality agree with set
+equality, so ``==`` is an exact set comparison and every measure is an
+exact ``Fraction``.
 
 Random variables store their partition as labeled slabs (see
-``randomvars``), so the library itself now uses IntervalSet only for
-the per-point ``blocks`` of the JSON format (reading and writing), for
-the selftest's independent oracles, and in the tests' block-algebra
-oracle for the slab code.
+``randomvars``), so the library uses IntervalSet only for the per-point
+``blocks`` of the JSON format (``from_pairs`` reads them) and for the
+selftest's Ky Fan scan oracle (``union_all``, ``intersect``,
+``measure``).  The rest of the set algebra (complement, difference,
+leftmost prefix and split) is the tests' block oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import PreconditionError
 
@@ -56,16 +48,6 @@ class IntervalSet:
                     "must be sorted, disjoint and non-adjacent"
                 )
             prev_right = right
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
-    def full(cls) -> "IntervalSet":
-        return cls(((ZERO, ONE),))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
@@ -98,19 +80,9 @@ class IntervalSet:
         """Union of many sets in one sorted sweep."""
         return cls.from_pairs(p for part in parts for p in part.intervals)
 
-    # -- basic queries ------------------------------------------------
-
     @cached_property
     def measure(self) -> Fraction:
         return sum((right - left for left, right in self.intervals), ZERO)
-
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def issubset(self, other: "IntervalSet") -> bool:
-        return self.difference(other).is_empty()
-
-    # -- boolean operations -------------------------------------------
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         a, b = self.intervals, other.intervals
@@ -127,102 +99,3 @@ class IntervalSet:
                 j += 1
         # inputs canonical, so the sweep output is canonical already
         return IntervalSet(tuple(out))
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_pairs(self.intervals + other.intervals)
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Pair] = []
-        j = 0
-        b = other.intervals
-        for left, right in self.intervals:
-            cur = left
-            while j < len(b) and b[j][1] <= cur:
-                j += 1
-            k = j
-            while k < len(b) and b[k][0] < right:
-                if b[k][0] > cur:
-                    out.append((cur, b[k][0]))
-                cur = max(cur, b[k][1])
-                if cur >= right:
-                    break
-                k += 1
-            if cur < right:
-                out.append((cur, right))
-        return IntervalSet(tuple(out))
-
-    def complement(self) -> "IntervalSet":
-        out: list[Pair] = []
-        prev = ZERO
-        for left, right in self.intervals:
-            if prev < left:
-                out.append((prev, left))
-            prev = right
-        if prev < ONE:
-            out.append((prev, ONE))
-        return IntervalSet(tuple(out))
-
-    # -- nonatomic carving --------------------------------------------
-
-    def prefix(self, t: Fraction) -> "IntervalSet":
-        """Leftmost subset of exact mass ``t``.
-
-        Monotone in t: prefix(s) is contained in prefix(t) for s <= t,
-        and measure(prefix(t)) = t exactly.
-        """
-        t = Fraction(t)
-        if t < ZERO or t > self.measure:
-            raise PreconditionError(
-                f"prefix mass {t} outside [0, {self.measure}]"
-            )
-        out: list[Pair] = []
-        remaining = t
-        for left, right in self.intervals:
-            if remaining == ZERO:
-                break
-            length = right - left
-            if length <= remaining:
-                out.append((left, right))
-                remaining -= length
-            else:
-                out.append((left, left + remaining))
-                remaining = ZERO
-        return IntervalSet(tuple(out))
-
-    def split(self, weights: Sequence[Fraction]) -> list["IntervalSet"]:
-        """Cut into consecutive leftmost slabs of the given masses.
-
-        The weights must be nonnegative and sum to measure(self).  Parts
-        are pairwise disjoint, cover self, and part k has exact mass
-        weights[k].  Zero weights yield empty parts.
-        """
-        weights = [Fraction(w) for w in weights]
-        for w in weights:
-            if w < ZERO:
-                raise PreconditionError(f"negative split weight {w}")
-        total = sum(weights, ZERO)
-        if total != self.measure:
-            raise PreconditionError(
-                f"split weights sum to {total}, set has measure {self.measure}"
-            )
-        parts: list[IntervalSet] = []
-        idx = 0
-        cursor = self.intervals[0][0] if self.intervals else ZERO
-        for w in weights:
-            out: list[Pair] = []
-            need = w
-            while need > ZERO:
-                left, right = self.intervals[idx]
-                start = max(left, cursor)
-                avail = right - start
-                if avail <= need:
-                    out.append((start, right))
-                    need -= avail
-                    idx += 1
-                    cursor = self.intervals[idx][0] if idx < len(self.intervals) else ONE
-                else:
-                    out.append((start, start + need))
-                    cursor = start + need
-                    need = ZERO
-            parts.append(IntervalSet(tuple(out)))
-        return parts

@@ -107,9 +107,6 @@ class SimpleRandomVariable:
             pieces[label].append((left, right))
         return tuple(IntervalSet(tuple(p)) for p in pieces)
 
-    def block(self, point: str) -> IntervalSet:
-        return self.blocks[self.space.index(point)]
-
 
 def law(x: SimpleRandomVariable) -> Measure:
     """The distribution of x: weight of each point is its total slab length."""

@@ -153,6 +153,9 @@ def path_from_obj(obj: Any) -> PolygonalPath | SampledPath:
     kind = obj["kind"]
 
     def table_polygonal(bps_obj, verts_obj):
+        for key, value in (("breakpoints", bps_obj), ("vertices", verts_obj)):
+            if not isinstance(value, list):
+                raise PreconditionError(f"path {key} must be a list, got {value!r}")
         bps = tuple(parse_frac(t) for t in bps_obj)
         verts = tuple(weights_from_obj(space, w) for w in verts_obj)
         return PolygonalPath(space, bps, verts)

@@ -14,7 +14,14 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from pathlift import CouplingMatrix, IntervalSet, Measure, SimpleRandomVariable, validate_space
+from pathlift import (
+    CouplingMatrix,
+    IntervalSet,
+    Measure,
+    PreconditionError,
+    SimpleRandomVariable,
+    validate_space,
+)
 from pathlift.omega import ONE, ZERO
 
 F = Fraction
@@ -122,8 +129,112 @@ def _solve_tree(m, tree, row_w, col_w):
 
 
 # -- block-algebra oracle for the slab code -----------------------------
-# Each function returns per-point blocks, built only from IntervalSet
-# operations on the blocks of its inputs.
+# Set algebra on canonical IntervalSets, each op one linear sweep, and
+# per-point blocks built only from it.  Nonatomic "leftmost carving":
+# prefix takes any requested mass from a set by walking it left to
+# right, and split cuts a set into consecutive slabs of given masses.
+
+def empty() -> IntervalSet:
+    return IntervalSet(())
+
+
+def full() -> IntervalSet:
+    return IntervalSet(((ZERO, ONE),))
+
+
+def is_empty(a: IntervalSet) -> bool:
+    return not a.intervals
+
+
+def issubset(a: IntervalSet, b: IntervalSet) -> bool:
+    return is_empty(difference(a, b))
+
+
+def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return IntervalSet.from_pairs(a.intervals + b.intervals)
+
+
+def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    out = []
+    j = 0
+    cut = b.intervals
+    for left, right in a.intervals:
+        cur = left
+        while j < len(cut) and cut[j][1] <= cur:
+            j += 1
+        k = j
+        while k < len(cut) and cut[k][0] < right:
+            if cut[k][0] > cur:
+                out.append((cur, cut[k][0]))
+            cur = max(cur, cut[k][1])
+            if cur >= right:
+                break
+            k += 1
+        if cur < right:
+            out.append((cur, right))
+    return IntervalSet(tuple(out))
+
+
+def complement(a: IntervalSet) -> IntervalSet:
+    out = []
+    prev = ZERO
+    for left, right in a.intervals:
+        if prev < left:
+            out.append((prev, left))
+        prev = right
+    if prev < ONE:
+        out.append((prev, ONE))
+    return IntervalSet(tuple(out))
+
+
+def prefix(a: IntervalSet, t: Fraction) -> IntervalSet:
+    """Leftmost subset of a of exact mass t; monotone in t."""
+    t = Fraction(t)
+    if t < ZERO or t > a.measure:
+        raise PreconditionError(f"prefix mass {t} outside [0, {a.measure}]")
+    out = []
+    remaining = t
+    for left, right in a.intervals:
+        if remaining == ZERO:
+            break
+        take = min(right - left, remaining)
+        out.append((left, left + take))
+        remaining -= take
+    return IntervalSet(tuple(out))
+
+
+def split(a: IntervalSet, weights) -> list[IntervalSet]:
+    """Consecutive leftmost slabs of a with the given nonnegative masses,
+    which must sum to a's measure; zero weights give empty parts."""
+    weights = [Fraction(w) for w in weights]
+    if any(w < ZERO for w in weights):
+        raise PreconditionError(f"negative split weight in {weights}")
+    total = sum(weights, ZERO)
+    if total != a.measure:
+        raise PreconditionError(f"split weights sum to {total}, set has measure {a.measure}")
+    pieces = a.intervals
+    parts = []
+    idx = 0
+    cursor = pieces[0][0] if pieces else ZERO
+    for w in weights:
+        out = []
+        need = w
+        while need > ZERO:
+            left, right = pieces[idx]
+            start = max(left, cursor)
+            avail = right - start
+            if avail <= need:
+                out.append((start, right))
+                need -= avail
+                idx += 1
+                cursor = pieces[idx][0] if idx < len(pieces) else ONE
+            else:
+                out.append((start, start + need))
+                cursor = start + need
+                need = ZERO
+        parts.append(IntervalSet(tuple(out)))
+    return parts
+
 
 def oracle_cells(x, y) -> tuple[tuple[IntervalSet, ...], ...]:
     """Cell (i, j) = A_i & B_j, by intersection."""
@@ -144,7 +255,7 @@ def oracle_transfer(x, y, s: Fraction) -> tuple[IntervalSet, ...]:
     cells = oracle_cells(x, y)
     m = len(cells)
     moved = {
-        (i, j): cells[i][j].prefix(s * cells[i][j].measure)
+        (i, j): prefix(cells[i][j], s * cells[i][j].measure)
         for i in range(m)
         for j in range(m)
         if i != j
@@ -153,7 +264,7 @@ def oracle_transfer(x, y, s: Fraction) -> tuple[IntervalSet, ...]:
     for i in range(m):
         parts = [cells[i][i]]
         parts += [moved[k, i] for k in range(m) if k != i]
-        parts += [cells[i][j].difference(moved[i, j]) for j in range(m) if j != i]
+        parts += [difference(cells[i][j], moved[i, j]) for j in range(m) if j != i]
         blocks.append(IntervalSet.union_all(parts))
     return tuple(blocks)
 
@@ -161,12 +272,12 @@ def oracle_transfer(x, y, s: Fraction) -> tuple[IntervalSet, ...]:
 def oracle_realize(x, pi: CouplingMatrix) -> tuple[IntervalSet, ...]:
     """Block j = union over i of the j-th leftmost piece of A_i split by row i."""
     m = len(x.blocks)
-    pieces = [x.blocks[i].split(pi.mass[i]) for i in range(m)]
+    pieces = [split(x.blocks[i], pi.mass[i]) for i in range(m)]
     return tuple(IntervalSet.union_all(pieces[i][j] for i in range(m)) for j in range(m))
 
 
 def oracle_canonical(nu: Measure) -> tuple[IntervalSet, ...]:
-    return tuple(IntervalSet.full().split(nu.weights))
+    return tuple(split(full(), nu.weights))
 
 
 # -- hypothesis strategies ---------------------------------------------

@@ -1,12 +1,10 @@
 import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import subprocess_env
 from pathlift import canonical_rv, dirac, lift_polygonal, validate_space
 from pathlift import gen
 from pathlift.cli import build_parser, main
@@ -267,7 +265,66 @@ class TestCubeCommand:
         assert "dimension" in capsys.readouterr().err
 
 
+@pytest.fixture
+def two_point_files(tmp_path):
+    """Input files of every grid-taking command, for the path a -> b."""
+    from pathlift.serialize import weights_to_obj
+
+    space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+    x, y = canonical_rv(dirac(space, "a")), canonical_rv(dirac(space, "b"))
+    beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "b")))
+    sp = space_to_obj(space)
+    return {
+        "x": write(tmp_path / "x.json", {"space": sp, "blocks": blocks_to_obj(x)}),
+        "y": write(tmp_path / "y.json", {"space": sp, "blocks": blocks_to_obj(y)}),
+        "path": write(tmp_path / "path.json", polygonal_to_obj(beta)),
+        "ends": write(
+            tmp_path / "ends.json",
+            {"space": sp, "start": blocks_to_obj(x), "end": blocks_to_obj(y)},
+        ),
+        "lift": write(tmp_path / "lift.json", lift_to_obj(lift_polygonal(beta, x, y))),
+        "corners": write(
+            tmp_path / "corners.json",
+            {"space": sp, "corners": [weights_to_obj(law) for law in beta.vertices]},
+        ),
+    }
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("segment", ["x", "y"]),
+            ("lift", ["path", "ends"]),
+            ("relift", ["lift", "path"]),
+            ("verify", ["lift", "path"]),
+            ("cube", ["corners"]),
+        ],
+        ids=["segment", "lift", "relift", "verify", "cube"],
+    )
+    def test_grid_zero_exit_two(self, two_point_files, capsys, command, inputs):
+        argv = [command] + [two_point_files[k] for k in inputs] + ["--grid", "0"]
+        assert main(argv) == 2
+        assert "at least 2 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, inputs, key",
+        [
+            ("lift", ["path", "ends"], "breakpoints"),
+            ("lift", ["path", "ends"], "vertices"),
+            ("cube", ["corners"], "corners"),
+        ],
+        ids=["path-breakpoints", "path-vertices", "cube-corners"],
+    )
+    def test_table_not_a_list_exit_two(self, two_point_files, capsys, command, inputs, key):
+        doc = Path(two_point_files[inputs[0]])
+        obj = json.loads(doc.read_text())
+        obj[key] = 5
+        write(doc, obj)
+        assert main([command] + [two_point_files[k] for k in inputs]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     def test_dist_not_a_matrix_exit_two(self, tmp_path, capsys):
         doc = {"space": {"points": ["a", "b"], "dist": 5}, "weights": ["1/2", "1/2"]}
         mu_file = write(tmp_path / "mu.json", doc)
@@ -308,10 +365,3 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "result: PASS" in out
         assert "prokhorov-two-routes" in out
-
-    def test_deterministic_across_processes(self):
-        cmd = [sys.executable, "-m", "pathlift", "selftest", "--seed", "0"]
-        first = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
-        second = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
-        assert first.returncode == 0 and second.returncode == 0
-        assert first.stdout == second.stdout

@@ -27,7 +27,7 @@ from pathlift import (
     verify_lift,
 )
 from pathlift import gen, lifting
-from pathlift.lifting import certification_grid, sup_rho_on_grid
+from pathlift.lifting import certification_grid, decay_budgets, sup_rho_on_grid
 
 F = Fraction
 Z = F(0)
@@ -321,16 +321,6 @@ class TestApproximatePolygonal:
             approximate_polygonal(SampledPath(space, beta.eval, F(1)), Z)
 
 
-def perturb_within(rng, beta, eps):
-    """Interior vertices pushed by at most eps of mass toward a random
-    measure; endpoints kept, so the sup law gap stays within eps."""
-    verts = [beta.vertices[0]]
-    for v in beta.vertices[1:-1]:
-        verts.append(mixture(v, gen.rand_measure(rng, beta.space), eps))
-    verts.append(beta.vertices[-1])
-    return PolygonalPath(beta.space, beta.breakpoints, tuple(verts))
-
-
 class TestReliftNear:
     def test_exact_law_path_reproduces_prev(self):
         rng = random.Random(31)
@@ -352,7 +342,7 @@ class TestReliftNear:
                 beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
             )
             eps = F(1, rng.randint(3, 8))
-            target = perturb_within(rng, beta, eps)
+            target = gen.perturb_polygonal(rng, beta, eps)
             relifted, drift = relift_near(prev, target, eps)
             grid = certification_grid(relifted)
             assert drift == sup_rho_on_grid(prev, relifted, grid)
@@ -425,8 +415,7 @@ class TestLiftPath:
         x_end = canonical_rv(alpha.eval(F(1)))
         tol = F(1, 25)
         lift, cert = lift_path(alpha, x_start, x_end, tol, 3, grid_n=17)
-        eps = [tol * 5 ** (2 - n) for n in range(3)]
-        budgets = [5 * (eps[n] + eps[n + 1]) for n in range(2)]
+        _, budgets = decay_budgets(tol, 3)
         assert len(cert.decay_table) == 2
         assert all(d <= b for d, b in zip(cert.decay_table, budgets))
         assert cert.max_law_gap <= tol

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    complement,
+    difference,
+    empty,
     fractions01,
+    full,
     oracle_canonical,
     oracle_cells,
     oracle_joint,
@@ -51,7 +55,7 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), iset((0, F(1, 2)))))
         with pytest.raises(PreconditionError):
-            SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), IntervalSet.empty()))
+            SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), empty()))
 
     @pytest.mark.parametrize(
         "den, cuts, labels",
@@ -98,7 +102,7 @@ class TestConstruction:
 
     def test_empty_blocks_allowed(self):
         space = two_point_space(F(1))
-        x = SimpleRandomVariable.from_blocks(space, (IntervalSet.full(), IntervalSet.empty()))
+        x = SimpleRandomVariable.from_blocks(space, (full(), empty()))
         assert law(x) == dirac(space, "a")
 
 
@@ -115,12 +119,12 @@ class TestLaw:
     def test_invariant_under_relabeling(self):
         space = two_point_space(F(1))
         first = iset((0, F(1, 4)), (F(1, 2), F(3, 4)))
-        rest = first.complement()
+        rest = complement(first)
         # build the same sets through different boolean expressions
-        rebuilt = IntervalSet.full().difference(rest)
+        rebuilt = difference(full(), rest)
         assert rebuilt == first
         x = SimpleRandomVariable.from_blocks(space, (first, rest))
-        y = SimpleRandomVariable.from_blocks(space, (rebuilt, IntervalSet.full().difference(first)))
+        y = SimpleRandomVariable.from_blocks(space, (rebuilt, difference(full(), first)))
         assert x == y
         assert law(x) == law(y)
 
@@ -225,8 +229,8 @@ class TestCanonicalRv:
     def test_dirac(self):
         space = two_point_space(F(1))
         assert canonical_rv(dirac(space, "a")).blocks == (
-            IntervalSet.full(),
-            IntervalSet.empty(),
+            full(),
+            empty(),
         )
 
     def test_slab_order(self):
