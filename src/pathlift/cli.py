@@ -45,6 +45,7 @@ from .serialize import (
     measure_from_obj,
     parse_frac,
     path_from_obj,
+    ratio_str,
     rv_from_blocks_obj,
     space_from_obj,
     weights_from_obj,
@@ -108,7 +109,7 @@ def cmd_prokhorov(args):
             f"oracle disabled: space has {mu.space.size} > "
             f"{SUBSET_ORACLE_LIMIT} points"
         )
-    doc["coupling"] = [[frac_str(x) for x in row] for row in witness.mass]
+    doc["coupling"] = [[ratio_str(x, witness.den) for x in row] for row in witness.ints]
     _emit(doc, args.out)
     return 0
 

@@ -53,12 +53,8 @@ def rand_space(rng: random.Random, size: int) -> FiniteMetricSpace:
 
 
 def rand_measure(rng: random.Random, space: FiniteMetricSpace, den: int = 24) -> Measure:
-    cuts = sorted(rng.randint(0, den) for _ in range(space.size - 1))
-    bounds = [0] + cuts + [den]
-    weights = tuple(
-        Fraction(bounds[i + 1] - bounds[i], den) for i in range(space.size)
-    )
-    return Measure(space, weights)
+    bounds = [0] + sorted(rng.randint(0, den) for _ in range(space.size - 1)) + [den]
+    return Measure.reduced(space, den, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
 
 
 def rand_rv(rng: random.Random, space: FiniteMetricSpace, slabs: int = 8, den: int = 48) -> SimpleRandomVariable:

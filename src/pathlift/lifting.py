@@ -129,7 +129,7 @@ class SegmentLift:
         the joint law is r * masses off the diagonal; no evaluation."""
         r = abs(self._local(t) - self._local(s))
         tails = [r.numerator * w for w in self.tails]
-        return _kyfan_from_tails(self.space.distance_levels, tails, self.refinement[0] * r.denominator)
+        return _kyfan_from_tails(self.space, tails, self.refinement[0] * r.denominator)
 
 
 def segment_lift(
@@ -498,6 +498,8 @@ def lift_path(
         raise PreconditionError("tolerance must be positive")
     if iterations < 1:
         raise PreconditionError("at least one iteration is required")
+    if grid_n < 2:  # checked again by verify_lift, but before any round runs
+        raise PreconditionError("grid needs at least 2 points")
     same_space(alpha.space, x_start.space)
     same_space(alpha.space, x_end.space)
     if law(x_start) != alpha.eval(ZERO):

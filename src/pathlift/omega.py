@@ -7,9 +7,9 @@ equality, so ``==`` is an exact set comparison and every measure is an
 exact ``Fraction``.
 
 Random variables store their partition as labeled slabs (see
-``randomvars``), so the library uses IntervalSet only for the per-point
-``blocks`` of the JSON format (``from_pairs`` reads them) and for the
-selftest's Ky Fan scan oracle (``union_all``, ``intersect``,
+``randomvars``), and the JSON writer works from those; the library uses
+IntervalSet only to read the per-point ``blocks`` (``from_pairs``) and
+for the selftest's Ky Fan scan oracle (``union_all``, ``intersect``,
 ``measure``).  The rest of the set algebra (complement, difference,
 leftmost prefix and split) is the tests' block oracle.
 """

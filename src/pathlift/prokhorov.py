@@ -70,29 +70,28 @@ def _level_tails(levels, mass) -> list[int]:
     return tails
 
 
-def _kyfan_from_tails(levels, tails: list[int], den: int) -> Fraction:
+def _kyfan_from_tails(space, tails: list[int], den: int) -> Fraction:
     """The Ky Fan infimum of tail masses over den; tails and distances over one lcm."""
-    unit = math.lcm(den, *(cut.denominator for cut, _ in levels))
-    cuts = [cut.numerator * (unit // cut.denominator) for cut, _ in levels]
+    dist_den = space.scaled[0]
+    unit = math.lcm(den, dist_den)
+    cuts = [cut * (unit // dist_den) for cut, _ in space.distance_levels]
     return Fraction(_upward_infimum(cuts, [v * (unit // den) for v in tails]), unit)
 
 
 def kyfan_functional(pi: CouplingMatrix) -> Fraction:
     """inf{eps > 0 : pi{(x, y) : d(x, y) >= eps} <= eps}, exact.
 
-    The masses are scaled to integers over their lcm, then one descending
-    sweep over the levels sums the tails pi{d >= cut}: O(m^2) per call.
+    One descending sweep over the levels sums the integer tails
+    pi{d >= cut}: O(m^2) per call.
     """
-    levels = pi.space.distance_levels
-    den = math.lcm(*(w.denominator for row in pi.mass for w in row))
-    mass = [[w.numerator * (den // w.denominator) for w in row] for row in pi.mass]
-    return _kyfan_from_tails(levels, _level_tails(levels, mass), den)
+    return _kyfan_from_tails(pi.space, _level_tails(pi.space.distance_levels, pi.ints), pi.den)
 
 
 def total_variation(mu: Measure, nu: Measure) -> Fraction:
     """(1/2) sum |mu_i - nu_i|; q <= TV, witnessed by the maximal coupling."""
     same_space(mu.space, nu.space)
-    return sum((abs(a - b) for a, b in zip(mu.weights, nu.weights)), ZERO) / 2
+    gaps = (abs(x * nu.den - y * mu.den) for x, y in zip(mu.nums, nu.nums))
+    return Fraction(sum(gaps), 2 * mu.den * nu.den)
 
 
 class _FlowState:
@@ -181,25 +180,27 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
     The witness is deterministic: threshold intervals are scanned in
     increasing order with a warm-started max-flow, and leftover mass is
     distributed by northwest-corner filling over the marginal deficits.
-    The flow runs on integers: mu and nu scaled by their common
-    denominator, one distance level of edges admitted per interval.
-    Augmenting paths depend only on sign tests and minima, which a
-    positive scale leaves unchanged, so the witness is the same matrix
-    as with Fraction capacities.
+    The flow runs on integers: mu and nu over their common denominator,
+    one distance level of edges admitted per interval.  Augmenting paths
+    depend only on sign tests and minima, which a positive scale leaves
+    unchanged, so the witness is the same matrix as with Fraction
+    capacities.  Thresholds and candidates are integers over one unit.
     """
     same_space(mu.space, nu.space)
     space = mu.space
     m = space.size
     levels = space.distance_levels
-    den = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
-    row_caps = [w.numerator * (den // w.denominator) for w in mu.weights]
-    col_caps = [w.numerator * (den // w.denominator) for w in nu.weights]
+    den = math.lcm(mu.den, nu.den)
+    row_caps = [w * (den // mu.den) for w in mu.nums]
+    col_caps = [w * (den // nu.den) for w in nu.nums]
     state = _FlowState(row_caps, col_caps)
+    unit = math.lcm(den, space.scaled[0])
+    step, scale = unit // space.scaled[0], unit // den
 
-    best = None          # (value, flow snapshot)
-    lo = ZERO
+    best = None          # (value over unit, flow snapshot)
+    lo = 0
     for k in range(len(levels) + 1):
-        hi = levels[k][0] if k < len(levels) else None
+        hi = levels[k][0] * step if k < len(levels) else None
         if best is not None and lo >= best[0]:
             break  # candidates only grow with the interval's left edge
         # edges with d <= lo are available throughout (lo, hi]
@@ -207,14 +208,14 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
             for i, j in levels[k - 1][1]:
                 state.allow(i, j)
         routed = state.maximize()
-        cand = max(lo, Fraction(den - routed, den))
+        cand = max(lo, (den - routed) * scale)
         if (hi is None or cand <= hi) and (best is None or cand < best[0]):
             best = (cand, [row[:] for row in state.flow])
         if hi is not None:
             lo = hi
     if best is None:
         raise InvariantError("no feasible threshold interval for the coupling scan")
-    value, flow = best
+    value, flow = Fraction(best[0], unit), best[1]
     # complete the witness: route marginal deficits northwest-corner
     row_rem = [row_caps[i] - sum(flow[i]) for i in range(m)]
     col_rem = [col_caps[j] - sum(flow[i][j] for i in range(m)) for j in range(m)]
@@ -232,9 +233,7 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
         col_rem[j] -= push
     if any(row_rem) or any(col_rem):
         raise InvariantError("witness coupling does not match the marginals")
-    witness = CouplingMatrix(
-        space, tuple(tuple(Fraction(x, den) for x in row) for row in flow)
-    )
+    witness = CouplingMatrix.reduced(space, den, flow)
     attained = kyfan_functional(witness)
     if attained != value:
         raise InvariantError(
@@ -267,13 +266,11 @@ def prokhorov_subsets(mu: Measure, nu: Measure) -> Fraction:
         raise PreconditionError(
             f"subset oracle limited to {SUBSET_ORACLE_LIMIT} points, space has {m}"
         )
-    den = math.lcm(
-        *(w.denominator for w in mu.weights + nu.weights),
-        *(x.denominator for row in space.dist for x in row),
-    )
-    mu_w = [w.numerator * (den // w.denominator) for w in mu.weights]
-    nu_w = [w.numerator * (den // w.denominator) for w in nu.weights]
-    d = [[x.numerator * (den // x.denominator) for x in row] for row in space.dist]
+    dist_den, rows = space.scaled
+    den = math.lcm(mu.den, nu.den, dist_den)
+    mu_w = [w * (den // mu.den) for w in mu.nums]
+    nu_w = [w * (den // nu.den) for w in nu.nums]
+    d = [[x * (den // dist_den) for x in row] for row in rows]
     best = 0
     for mask in range(1, 1 << m):
         members = [i for i in range(m) if mask >> i & 1]

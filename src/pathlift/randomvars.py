@@ -7,14 +7,14 @@ lowest terms and one label (a point index of the space) per slab
 the representation of a partition is unique and dataclass ``==`` is
 exact set equality.  Every construction checks this in one pass.
 
-Each operation is one left-to-right walk over integer cuts, two variables
-scaled to the lcm of their dens: ``law``, ``joint_coupling`` (over the
-common ``refinement`` of two variables), ``realize_coupling`` and
-``canonical_rv``.  The per-point ``blocks`` (canonical IntervalSets) are
-derived on demand for the JSON format and the independent oracles.
-``kyfan_rho`` is the metric of convergence in probability;
-``match_to_law`` rearranges a variable to hit a target law at exactly
-the Prokhorov distance between the laws.
+Each operation is one left-to-right walk over integer cuts, two
+variables scaled to the lcm of their dens, reading and yielding the
+integer measures and couplings of ``spaces``: ``law``, ``joint_coupling``
+(over the common ``refinement``), ``realize_coupling`` and
+``canonical_rv``.  ``kyfan_rho`` is the metric of convergence in
+probability; ``match_to_law`` rearranges a variable to hit a target law
+at exactly the Prokhorov distance between the laws.  The per-point
+``blocks`` (IntervalSets) are derived only for the independent oracles.
 """
 
 from __future__ import annotations
@@ -111,10 +111,9 @@ class SimpleRandomVariable:
 def law(x: SimpleRandomVariable) -> Measure:
     """The distribution of x: weight of each point is its total slab length."""
     weights = [0] * x.space.size
-    cuts = x.cuts
-    for k, label in enumerate(x.labels):
-        weights[label] += cuts[k + 1] - cuts[k]
-    return Measure(x.space, tuple(Fraction(w, x.den) for w in weights))
+    for left, right, label in zip(x.cuts, x.cuts[1:], x.labels):
+        weights[label] += right - left
+    return Measure.reduced(x.space, x.den, weights)
 
 
 def refinement(x: SimpleRandomVariable, y: SimpleRandomVariable) -> tuple[int, list[Piece]]:
@@ -159,8 +158,7 @@ def joint_coupling(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Coupling
     """Joint mass matrix measure(A_i & B_j); couples law(x) with law(y)."""
     same_space(x.space, y.space)
     den, pieces = refinement(x, y)
-    mass = cell_masses(x.space.size, pieces)
-    return CouplingMatrix(x.space, tuple(tuple(Fraction(w, den) for w in row) for row in mass))
+    return CouplingMatrix.reduced(x.space, den, cell_masses(x.space.size, pieces))
 
 
 def kyfan_rho(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Fraction:
@@ -180,8 +178,8 @@ def realize_coupling(x: SimpleRandomVariable, pi: CouplingMatrix) -> SimpleRando
     same_space(x.space, pi.space)
     if law(x) != pi.row_marginal():
         raise PreconditionError("row marginal of the coupling differs from law(x)")
-    den = math.lcm(x.den, *(w.denominator for row in pi.mass for w in row))
-    mass = [[w.numerator * (den // w.denominator) for w in row] for row in pi.mass]
+    den = math.lcm(x.den, pi.den)
+    mass = [[w * (den // pi.den) for w in row] for row in pi.ints]
     scale = den // x.den
     col = [0] * x.space.size
     need = [row[0] for row in mass]  # mass of pi[i][col[i]] not yet placed
@@ -212,7 +210,5 @@ def match_to_law(x: SimpleRandomVariable, nu: Measure) -> SimpleRandomVariable:
 
 def canonical_rv(nu: Measure) -> SimpleRandomVariable:
     """Consecutive leftmost slabs of [0, 1) with lengths nu.weights."""
-    den = math.lcm(*(w.denominator for w in nu.weights))
-    ends = accumulate(w.numerator * (den // w.denominator) for w in nu.weights)
-    slabs = [(end, j) for j, (w, end) in enumerate(zip(nu.weights, ends)) if w]
-    return SimpleRandomVariable.from_slabs(nu.space, den, slabs)
+    slabs = [(end, j) for j, (w, end) in enumerate(zip(nu.nums, accumulate(nu.nums))) if w]
+    return SimpleRandomVariable.from_slabs(nu.space, nu.den, slabs)

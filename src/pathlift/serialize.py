@@ -8,6 +8,7 @@ values serialize byte-identically and outputs are golden-file friendly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
@@ -27,6 +28,12 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def ratio_str(num: int, den: int) -> str:
+    """frac_str(Fraction(num, den)), reduced by the gcd without a Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def parse_frac(text: Any) -> Fraction:
     if not isinstance(text, str) or not _FRACTION_RE.match(text):
         raise PreconditionError(f'rational expected as "p/q" string, got {text!r}')
@@ -37,10 +44,6 @@ def parse_frac(text: Any) -> Fraction:
 
 
 # -- interval sets ----------------------------------------------------
-
-def intervals_to_obj(s: IntervalSet) -> list[list[str]]:
-    return [[frac_str(left), frac_str(right)] for left, right in s.intervals]
-
 
 def intervals_from_obj(obj: Any) -> IntervalSet:
     if not isinstance(obj, list):
@@ -77,13 +80,13 @@ def space_from_obj(obj: Any) -> FiniteMetricSpace:
 
 
 def weights_to_obj(mu: Measure) -> list[str]:
-    return [frac_str(w) for w in mu.weights]
+    return [ratio_str(w, mu.den) for w in mu.nums]
 
 
 def weights_from_obj(space: FiniteMetricSpace, obj: Any) -> Measure:
     if not isinstance(obj, list):
         raise PreconditionError("weights must be a list of rationals")
-    return Measure(space, tuple(parse_frac(w) for w in obj))
+    return Measure.from_weights(space, [parse_frac(w) for w in obj])
 
 
 def measure_to_obj(mu: Measure) -> dict:
@@ -100,10 +103,12 @@ def measure_from_obj(obj: Any) -> Measure:
 # -- random variables -------------------------------------------------
 
 def blocks_to_obj(x: SimpleRandomVariable) -> dict:
-    return {
-        point: intervals_to_obj(block)
-        for point, block in zip(x.space.points, x.blocks)
-    }
+    """Each point's slabs in order: its canonical intervals, as adjacent slabs differ."""
+    ends = [ratio_str(cut, x.den) for cut in x.cuts]
+    obj: dict[str, list] = {point: [] for point in x.space.points}
+    for k, label in enumerate(x.labels):
+        obj[x.space.points[label]].append(ends[k:k + 2])
+    return obj
 
 
 def rv_from_blocks_obj(space: FiniteMetricSpace, obj: Any) -> SimpleRandomVariable:

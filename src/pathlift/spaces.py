@@ -1,13 +1,13 @@
 """Finite metric spaces, probability measures on them, and couplings.
 
-Points carry string identifiers; distances and weights are exact
-Fractions.  Metric axioms are validated at construction with a witness
-in the error message; the O(m^3) triangle check, like a coupling's
-unit-mass check, runs on integers, the values scaled by their lcm.  Each
-space also sorts its distances once, on first use: ``distance_levels``
-lists the distinct positive distances with the point pairs at each,
-which the Ky Fan functional and the Prokhorov max-flow sweep instead of
-rescanning all m^2 pairs per threshold.
+Distances are exact Fractions, validated at construction with a witness
+in the error message.  ``scaled`` holds them as integers over their lcm
+for the O(m^3) triangle check and for ``distance_levels``: the distinct
+distances sorted once per space, each with its point pairs, which the
+Ky Fan sweep and the Prokhorov max-flow walk.  A measure is ``den`` and
+integer ``nums``, a coupling ``den`` and integer rows ``ints``, both in
+lowest terms, so ``==`` is exact and every operation stays on integers;
+the Fraction ``weights`` and ``mass`` are derived on demand.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ class FiniteMetricSpace:
                     raise PreconditionError(
                         f"non-positive distance: d({p[i]},{p[j]}) = {d[i][j]}"
                     )
-        den = math.lcm(*(x.denominator for row in d for x in row))
-        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in d]
-        for i, row_i in enumerate(scaled):
-            for j, row_j in enumerate(scaled):
+        for i, row_i in enumerate(self.scaled[1]):
+            for j, row_j in enumerate(self.scaled[1]):
                 via = row_i[j]
                 for k, direct in enumerate(row_i):
                     if direct > via + row_j[k]:
@@ -74,12 +72,19 @@ class FiniteMetricSpace:
             raise PreconditionError(f"unknown point {point!r}") from None
 
     @cached_property
-    def distance_levels(self) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]:
-        """The distinct positive distances in increasing order, each with
-        the ordered pairs (i, j), i != j, at that distance.  Computed once
-        per space; equality and hashing stay on the fields."""
-        pairs: dict[Fraction, list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.dist):
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The distances as integers over their lcm: (den, rows)."""
+        den = math.lcm(*(x.denominator for row in self.dist for x in row))
+        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.dist)
+        return den, rows
+
+    @cached_property
+    def distance_levels(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """The distinct positive distances in increasing order, over scaled[0],
+        each with the ordered pairs (i, j), i != j, at that distance.
+        Computed once per space; equality and hashing stay on the fields."""
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for i, row in enumerate(self.scaled[1]):
             for j, x in enumerate(row):
                 if i != j:
                     pairs.setdefault(x, []).append((i, j))
@@ -100,69 +105,93 @@ def same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> None:
 
 @dataclass(frozen=True)
 class Measure:
-    """Probability measure with rational weights on a finite space."""
+    """Probability measure on a finite space: weight i is nums[i] / den."""
 
     space: FiniteMetricSpace
-    weights: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.weights) != self.space.size:
+        if len(self.nums) != self.space.size:
             raise PreconditionError("weight vector length does not match the space")
-        for w in self.weights:
-            if w < ZERO:
-                raise PreconditionError(f"negative weight {w}")
-        if sum(self.weights, ZERO) != ONE:
+        for w in self.nums:
+            if w < 0:
+                raise PreconditionError(f"negative weight {Fraction(w, self.den)}")
+        if sum(self.nums) != self.den:
             raise PreconditionError("weights must sum to 1 exactly")
+        if math.gcd(*self.nums) != 1:
+            raise PreconditionError(f"weights over {self.den} not in lowest terms")
 
-    def weight(self, point: str) -> Fraction:
-        return self.weights[self.space.index(point)]
+    @classmethod
+    def from_weights(cls, space: FiniteMetricSpace, weights: Sequence[Fraction]) -> "Measure":
+        """The measure with these rational weights, over their lcm."""
+        den = math.lcm(*(w.denominator for w in weights))
+        return cls(space, den, tuple(w.numerator * (den // w.denominator) for w in weights))
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(p for p, w in zip(self.space.points, self.weights) if w > ZERO)
+    @classmethod
+    def reduced(cls, space: FiniteMetricSpace, den: int, nums: Sequence[int]) -> "Measure":
+        """The measure with weights nums / den, the gcd divided out."""
+        g = math.gcd(*nums) or 1
+        return cls(space, den // g, tuple(w // g for w in nums))
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.den) for w in self.nums)
 
 
 def dirac(space: FiniteMetricSpace, point: str) -> Measure:
-    w = [ZERO] * space.size
-    w[space.index(point)] = ONE
-    return Measure(space, tuple(w))
+    i = space.index(point)
+    return Measure(space, 1, tuple(int(k == i) for k in range(space.size)))
 
 
 def mixture(mu: Measure, nu: Measure, t: Fraction) -> Measure:
-    """The affine combination (1-t) * mu + t * nu, exact."""
+    """The affine combination (1-t) * mu + t * nu, exact: with t = p / q,
+    integers over q * lcm(mu.den, nu.den)."""
     t = Fraction(t)
     if t < ZERO or t > ONE:
         raise PreconditionError(f"mixture parameter {t} outside [0, 1]")
     same_space(mu.space, nu.space)
-    s = ONE - t
-    return Measure(mu.space, tuple(s * a + t * b for a, b in zip(mu.weights, nu.weights)))
+    p, q = t.numerator, t.denominator
+    den = math.lcm(mu.den, nu.den)
+    a, b = (q - p) * (den // mu.den), p * (den // nu.den)
+    return Measure.reduced(mu.space, q * den, [a * x + b * y for x, y in zip(mu.nums, nu.nums)])
 
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Joint rational mass matrix; marginals are derived, total mass 1."""
+    """Joint mass matrix, cell (i, j) holding ints[i][j] / den; total mass 1."""
 
     space: FiniteMetricSpace
-    mass: tuple[tuple[Fraction, ...], ...]
+    den: int
+    ints: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         m = self.space.size
-        if len(self.mass) != m or any(len(row) != m for row in self.mass):
+        if len(self.ints) != m or any(len(row) != m for row in self.ints):
             raise PreconditionError("coupling matrix is not square of matching size")
-        for row in self.mass:
-            for x in row:
-                if x.numerator < 0:
-                    raise PreconditionError(f"negative coupling mass {x}")
-        den = math.lcm(*(x.denominator for row in self.mass for x in row))
-        total = sum(x.numerator * (den // x.denominator) for row in self.mass for x in row)
-        if total != den:
-            raise PreconditionError(f"coupling total mass {Fraction(total, den)} != 1")
+        neg = [x for row in self.ints for x in row if x < 0]
+        if neg:
+            raise PreconditionError(f"negative coupling mass {Fraction(neg[0], self.den)}")
+        total = sum(map(sum, self.ints))
+        if total != self.den:
+            raise PreconditionError(f"coupling total mass {Fraction(total, self.den)} != 1")
+        if math.gcd(*(x for row in self.ints for x in row)) != 1:
+            raise PreconditionError(f"coupling masses over {self.den} not in lowest terms")
+
+    @classmethod
+    def reduced(
+        cls, space: FiniteMetricSpace, den: int, ints: Sequence[Sequence[int]]
+    ) -> "CouplingMatrix":
+        """The coupling with cell masses ints / den, the gcd divided out."""
+        g = math.gcd(*(x for row in ints for x in row)) or 1
+        return cls(space, den // g, tuple(tuple(x // g for x in row) for row in ints))
+
+    @cached_property
+    def mass(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
 
     def row_marginal(self) -> Measure:
-        return Measure(self.space, tuple(sum(row, ZERO) for row in self.mass))
+        return Measure.reduced(self.space, self.den, tuple(map(sum, self.ints)))
 
     def col_marginal(self) -> Measure:
-        m = self.space.size
-        return Measure(
-            self.space,
-            tuple(sum((self.mass[i][j] for i in range(m)), ZERO) for j in range(m)),
-        )
+        return Measure.reduced(self.space, self.den, tuple(map(sum, zip(*self.ints))))

@@ -6,6 +6,7 @@ calling the library code paths they check.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -33,6 +34,18 @@ def subprocess_env() -> dict[str, str]:
     that child processes import the library under test."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def coupling_from_mass(space, mass) -> CouplingMatrix:
+    """The coupling with these rational cell masses, over their lcm."""
+    den = math.lcm(*(x.denominator for row in mass for x in row))
+    ints = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in mass)
+    return CouplingMatrix(space, den, ints)
+
+
+def intervals_to_obj(s: IntervalSet) -> list[list[str]]:
+    """The JSON list of a set's intervals, each end a "p/q" Fraction string."""
+    return [[f"{x.numerator}/{x.denominator}" for x in pair] for pair in s.intervals]
 
 
 def kyfan_bruteforce(pi: CouplingMatrix) -> Fraction:
@@ -321,7 +334,7 @@ def measures_on(draw, space, den: int = 24):
         )
     )
     bounds = [0] + cuts + [den]
-    return Measure(
+    return Measure.from_weights(
         space, tuple(Fraction(bounds[k + 1] - bounds[k], den) for k in range(space.size))
     )
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pathlift import canonical_rv, dirac, lift_polygonal, validate_space
-from pathlift import gen
+from pathlift import gen, lifting
 from pathlift.cli import build_parser, main
 from pathlift.lifting import PolygonalPath
 from pathlift.serialize import (
@@ -33,8 +33,8 @@ def crossing_pair(tmp_path):
     space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
     from pathlift import Measure
 
-    mu = Measure(space, (F(3, 4), F(1, 4)))
-    nu = Measure(space, (F(1, 4), F(3, 4)))
+    mu = Measure.from_weights(space, (F(3, 4), F(1, 4)))
+    nu = Measure.from_weights(space, (F(1, 4), F(3, 4)))
     mu_file = write(tmp_path / "mu.json", measure_to_obj(mu))
     nu_file = write(tmp_path / "nu.json", measure_to_obj(nu))
     return space, mu, nu, mu_file, nu_file
@@ -157,6 +157,22 @@ class TestLiftCommand:
         cert = doc["certificate"]
         assert len(cert["decay_table"]) == 2
         assert cert["endpoint_ok"] == [True, True]
+
+    def test_sampled_grid_one_exits_before_any_round(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(62)
+        space = gen.rand_space(rng, 3)
+        alpha = gen.rand_sampled(rng, space)
+        pf = write(tmp_path / "path.json", sampled_to_obj(alpha))
+        ef = self._endpoint_file(
+            tmp_path, space, canonical_rv(alpha.eval(Z)), canonical_rv(alpha.eval(F(1)))
+        )
+
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("approximate_polygonal ran before the grid check")
+
+        monkeypatch.setattr(lifting, "approximate_polygonal", no_rounds)
+        assert main(["lift", pf, ef, "--grid", "1"]) == 2
+        assert capsys.readouterr().err == "error: grid needs at least 2 points\n"
 
     def test_endpoint_mismatch_exit_two(self, tmp_path, capsys):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])

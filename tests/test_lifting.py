@@ -53,8 +53,8 @@ class TestPolygonalEval:
 
     def test_second_segment_affine(self):
         space = two_point_space()
-        mu = Measure(space, (F(1), Z))
-        nu = Measure(space, (Z, F(1)))
+        mu = Measure.from_weights(space, (F(1), Z))
+        nu = Measure.from_weights(space, (Z, F(1)))
         beta = PolygonalPath(space, (Z, F(1, 2), F(1)), (mu, nu, mu))
         assert beta.eval(F(3, 4)).weights == (F(1, 2), F(1, 2))
 
@@ -85,7 +85,7 @@ class TestSegmentLift:
 
     def test_constant_segment(self):
         space = two_point_space()
-        x = canonical_rv(Measure(space, (F(1, 3), F(2, 3))))
+        x = canonical_rv(Measure.from_weights(space, (F(1, 3), F(2, 3))))
         seg = segment_lift(x, x, Z, F(1))
         for t in (Z, F(1, 7), F(1)):
             assert seg.eval(t) == x
@@ -397,7 +397,7 @@ class TestLiftPath:
 
     def test_constant_path(self):
         space = two_point_space()
-        mu = Measure(space, (F(1, 3), F(2, 3)))
+        mu = Measure.from_weights(space, (F(1, 3), F(2, 3)))
         beta = PolygonalPath(space, (Z, F(1)), (mu, mu))
         alpha = SampledPath(space, beta.eval, F(1))
         x = canonical_rv(mu)

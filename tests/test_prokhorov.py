@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    coupling_from_mass,
     distinct_space,
     fractions01,
     kyfan_bruteforce,
@@ -13,7 +14,6 @@ from helpers import (
     vertex_couplings,
 )
 from pathlift import (
-    CouplingMatrix,
     Measure,
     PreconditionError,
     dirac,
@@ -38,25 +38,25 @@ def two_point_space(distance):
 class TestKyfanFunctional:
     def test_diagonal_coupling_is_zero(self):
         space = two_point_space(F(1))
-        pi = CouplingMatrix(space, ((F(1, 2), Z), (Z, F(1, 2))))
+        pi = coupling_from_mass(space, ((F(1, 2), Z), (Z, F(1, 2))))
         assert kyfan_functional(pi) == 0
 
     def test_all_mass_at_half(self):
         # m(eps) = 1 up to 1/2, then 0; the feasible set is (1/2, inf)
         space = two_point_space(F(1, 2))
-        pi = CouplingMatrix(space, ((Z, F(1)), (Z, Z)))
+        pi = coupling_from_mass(space, ((Z, F(1)), (Z, Z)))
         assert kyfan_functional(pi) == F(1, 2)
 
     def test_quarter_mass_at_one(self):
         space = two_point_space(F(1))
-        pi = CouplingMatrix(space, ((F(1, 2), F(1, 4)), (Z, F(1, 4))))
+        pi = coupling_from_mass(space, ((F(1, 2), F(1, 4)), (Z, F(1, 4))))
         assert kyfan_functional(pi) == F(1, 4)
 
 
 class TestProkhorovCoupling:
     def test_identical_measures(self):
         space = two_point_space(F(1))
-        mu = Measure(space, (F(1, 3), F(2, 3)))
+        mu = Measure.from_weights(space, (F(1, 3), F(2, 3)))
         value, witness = prokhorov_coupling(mu, mu)
         assert value == 0
         assert kyfan_functional(witness) == 0
@@ -67,8 +67,8 @@ class TestProkhorovCoupling:
 
     def test_crossing_masses(self):
         space = two_point_space(F(1))
-        mu = Measure(space, (F(3, 4), F(1, 4)))
-        nu = Measure(space, (F(1, 4), F(3, 4)))
+        mu = Measure.from_weights(space, (F(3, 4), F(1, 4)))
+        nu = Measure.from_weights(space, (F(1, 4), F(3, 4)))
         value, witness = prokhorov_coupling(mu, nu)
         assert value == F(1, 2)
         assert witness.row_marginal() == mu
@@ -93,7 +93,7 @@ class TestProkhorovCoupling:
 class TestSubsetsOracle:
     def test_identical(self):
         space = two_point_space(F(1))
-        mu = Measure(space, (F(1, 3), F(2, 3)))
+        mu = Measure.from_weights(space, (F(1, 3), F(2, 3)))
         assert prokhorov_subsets(mu, mu) == 0
 
     def test_diracs_by_enumeration(self):
@@ -179,7 +179,7 @@ class TestVertexCouplings:
             vertices = vertex_couplings(mu, nu)
             assert vertices
             for mass in vertices:
-                assert kyfan_functional(CouplingMatrix(space, mass)) >= q
+                assert kyfan_functional(coupling_from_mass(space, mass)) >= q
 
 
 def random_coupling(rng, space, den):
@@ -191,7 +191,7 @@ def random_coupling(rng, space, den):
     mass = [[Z] * m for _ in range(m)]
     for cell, amount in zip(cells, amounts):
         mass[cell // m][cell % m] = F(amount, den)
-    return CouplingMatrix(space, tuple(tuple(row) for row in mass))
+    return coupling_from_mass(space, tuple(tuple(row) for row in mass))
 
 
 class TestLargerSpaces:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from helpers import (
     complement,
+    coupling_from_mass,
     difference,
     empty,
     fractions01,
@@ -18,7 +19,6 @@ from helpers import (
     space_with,
 )
 from pathlift import (
-    CouplingMatrix,
     IntervalSet,
     Measure,
     PreconditionError,
@@ -132,7 +132,7 @@ class TestLaw:
 class TestKyfanRho:
     def test_self_distance(self):
         space = two_point_space(F(1))
-        x = canonical_rv(Measure(space, (F(1, 3), F(2, 3))))
+        x = canonical_rv(Measure.from_weights(space, (F(1, 3), F(2, 3))))
         assert kyfan_rho(x, x) == 0
 
     def test_quarter_disagreement(self):
@@ -172,21 +172,21 @@ class TestKyfanRho:
 class TestRealizeCoupling:
     def test_identity_coupling(self):
         space = two_point_space(F(1))
-        x = canonical_rv(Measure(space, (F(1, 2), F(1, 2))))
+        x = canonical_rv(Measure.from_weights(space, (F(1, 2), F(1, 2))))
         pi = joint_coupling(x, x)
         assert realize_coupling(x, pi) == x
 
     def test_even_split_of_constant(self):
         space = two_point_space(F(1))
         x = canonical_rv(dirac(space, "a"))
-        pi = CouplingMatrix(space, ((F(1, 2), F(1, 2)), (Z, Z)))
+        pi = coupling_from_mass(space, ((F(1, 2), F(1, 2)), (Z, Z)))
         y = realize_coupling(x, pi)
         assert y.blocks == (iset((0, F(1, 2))), iset((F(1, 2), 1)))
 
     def test_marginal_mismatch(self):
         space = two_point_space(F(1))
         x = canonical_rv(dirac(space, "a"))
-        pi = CouplingMatrix(space, ((F(1, 2), Z), (Z, F(1, 2))))
+        pi = coupling_from_mass(space, ((F(1, 2), Z), (Z, F(1, 2))))
         with pytest.raises(PreconditionError):
             realize_coupling(x, pi)
 
@@ -203,7 +203,7 @@ class TestRealizeCoupling:
 class TestMatchToLaw:
     def test_match_own_law_is_identity(self):
         space = two_point_space(F(1))
-        x = canonical_rv(Measure(space, (F(2, 3), F(1, 3))))
+        x = canonical_rv(Measure.from_weights(space, (F(2, 3), F(1, 3))))
         y = match_to_law(x, law(x))
         assert kyfan_rho(x, y) == 0
         assert y == x
@@ -211,7 +211,7 @@ class TestMatchToLaw:
     def test_constant_to_even(self):
         space = two_point_space(F(1))
         x = canonical_rv(dirac(space, "a"))
-        nu = Measure(space, (F(1, 2), F(1, 2)))
+        nu = Measure.from_weights(space, (F(1, 2), F(1, 2)))
         y = match_to_law(x, nu)
         assert y.blocks == (iset((0, F(1, 2))), iset((F(1, 2), 1)))
         assert kyfan_rho(x, y) == F(1, 2) == prokhorov(law(x), nu)
@@ -242,7 +242,7 @@ class TestCanonicalRv:
                 [F(1), F(1), Z],
             ],
         )
-        nu = Measure(space, (F(1, 2), F(1, 4), F(1, 4)))
+        nu = Measure.from_weights(space, (F(1, 2), F(1, 4), F(1, 4)))
         assert canonical_rv(nu).blocks == (
             iset((0, F(1, 2))),
             iset((F(1, 2), F(3, 4))),

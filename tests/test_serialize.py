@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import interval_sets, space_with
+from helpers import interval_sets, intervals_to_obj, space_with
 from pathlift import (
     PolygonalPath,
     PreconditionError,
@@ -16,12 +17,12 @@ from pathlift import (
 from pathlift import gen
 from pathlift.lifting import verify_lift
 from pathlift.serialize import (
+    blocks_to_obj,
     certificate_from_obj,
     certificate_to_obj,
     dumps,
     frac_str,
     intervals_from_obj,
-    intervals_to_obj,
     lift_from_obj,
     lift_to_obj,
     measure_from_obj,
@@ -29,11 +30,13 @@ from pathlift.serialize import (
     parse_frac,
     path_from_obj,
     polygonal_to_obj,
+    ratio_str,
     rv_from_obj,
     rv_to_obj,
     sampled_to_obj,
     space_from_obj,
     space_to_obj,
+    weights_to_obj,
 )
 
 F = Fraction
@@ -44,6 +47,10 @@ class TestFractionStrings:
     def test_round_trip(self):
         for x in (Z, F(1), F(-3, 7), F(22, 8)):
             assert parse_frac(frac_str(x)) == x
+
+    @given(st.integers(-50, 50), st.integers(1, 60))
+    def test_ratio_matches_the_fraction(self, num, den):
+        assert ratio_str(num, den) == frac_str(F(num, den))
 
     def test_zero_formats_with_denominator(self):
         assert frac_str(Z) == "0/1"
@@ -73,6 +80,11 @@ class TestSpacesAndMeasures:
         assert space_from_obj(space_to_obj(space)) == space
         assert measure_from_obj(measure_to_obj(mu)) == mu
 
+    @given(space_with(n_measures=1))
+    def test_weights_written_from_nums_match_the_fractions(self, bundle):
+        _, mu = bundle
+        assert weights_to_obj(mu) == [frac_str(w) for w in mu.weights]
+
     def test_bad_space_rejected(self):
         with pytest.raises(PreconditionError):
             space_from_obj({"points": ["a"], "dist": [["0/1", "1/2"]]})
@@ -84,12 +96,19 @@ class TestRandomVariables:
         _, x = bundle
         assert rv_from_obj(rv_to_obj(x)) == x
 
+    @given(space_with(n_rvs=1, max_slabs=8))
+    def test_blocks_written_from_slabs_match_the_interval_sets(self, bundle):
+        _, x = bundle
+        assert blocks_to_obj(x) == {
+            point: intervals_to_obj(block) for point, block in zip(x.space.points, x.blocks)
+        }
+
     def test_missing_points_default_to_empty_blocks(self):
         rng = random.Random(1)
         space = gen.rand_space(rng, 3)
         from pathlift import Measure
 
-        x = canonical_rv(Measure(space, (F(1, 2), F(1, 2), Z)))
+        x = canonical_rv(Measure.from_weights(space, (F(1, 2), F(1, 2), Z)))
         obj = rv_to_obj(x)
         obj["blocks"].pop(space.points[-1])
         assert rv_from_obj(obj) == x

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import distinct_space, fractions01, space_with
-from pathlift import Measure, PreconditionError, dirac, mixture, validate_space
+from helpers import coupling_from_mass, distinct_space, fractions01, space_with
+from pathlift import Measure, PreconditionError, dirac, joint_coupling, mixture, validate_space
 from pathlift.spaces import CouplingMatrix
 
 F = Fraction
@@ -72,25 +73,41 @@ class TestValidateSpace:
 class TestMeasure:
     def test_weights_must_sum_to_one(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
-        with pytest.raises(PreconditionError):
-            Measure(space, (F(1, 2), F(1, 4)))
+        with pytest.raises(PreconditionError, match="^weights must sum to 1 exactly$"):
+            Measure.from_weights(space, (F(1, 2), F(1, 4)))
 
     def test_negative_weight(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
-        with pytest.raises(PreconditionError):
-            Measure(space, (F(3, 2), F(-1, 2)))
+        with pytest.raises(PreconditionError, match="^negative weight -1/2$"):
+            Measure.from_weights(space, (F(3, 2), F(-1, 2)))
 
-    @given(space_with(n_measures=1))
-    def test_support(self, bundle):
-        _, mu = bundle
-        assert all(mu.weight(p) > 0 for p in mu.support())
+    def test_length_mismatch(self):
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        with pytest.raises(
+            PreconditionError, match="^weight vector length does not match the space$"
+        ):
+            Measure.from_weights(space, (F(1, 2), F(1, 4), F(1, 4)))
+
+    def test_lowest_terms_required(self):
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        with pytest.raises(PreconditionError, match="^weights over 4 not in lowest terms$"):
+            Measure(space, 4, (2, 2))
+        assert Measure.reduced(space, 4, (2, 2)) == Measure(space, 2, (1, 1))
+
+    @given(space_with(n_measures=2), st.integers(1, 12))
+    def test_equality_is_equality_of_weights(self, bundle, k):
+        _, mu, nu = bundle
+        assert Measure.from_weights(mu.space, mu.weights) == mu
+        # the same law over a k-fold denominator is the same measure
+        assert Measure.reduced(mu.space, k * mu.den, [k * w for w in mu.nums]) == mu
+        assert (mu == nu) == (mu.weights == nu.weights)
 
 
 class TestMixture:
     def test_left_endpoint(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
-        mu = Measure(space, (F(2, 3), F(1, 3)))
-        nu = Measure(space, (F(1, 6), F(5, 6)))
+        mu = Measure.from_weights(space, (F(2, 3), F(1, 3)))
+        nu = Measure.from_weights(space, (F(1, 6), F(5, 6)))
         assert mixture(mu, nu, Z) == mu
         assert mixture(mu, nu, F(1)) == nu
 
@@ -101,8 +118,8 @@ class TestMixture:
 
     def test_hand_value(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
-        mu = Measure(space, (F(3, 4), F(1, 4)))
-        nu = Measure(space, (F(1, 4), F(3, 4)))
+        mu = Measure.from_weights(space, (F(3, 4), F(1, 4)))
+        nu = Measure.from_weights(space, (F(1, 4), F(3, 4)))
         assert mixture(mu, nu, F(1, 3)).weights == (F(7, 12), F(5, 12))
 
     def test_parameter_range(self):
@@ -123,21 +140,41 @@ class TestCouplingMatrix:
     @given(space_with(n_measures=1))
     def test_product_coupling_marginals(self, bundle):
         space, mu = bundle
-        uniform = Measure(space, tuple(F(1, space.size) for _ in space.points))
+        uniform = Measure.from_weights(space, tuple(F(1, space.size) for _ in space.points))
         mass = tuple(
             tuple(mu.weights[i] * uniform.weights[j] for j in range(space.size))
             for i in range(space.size)
         )
-        pi = CouplingMatrix(space, mass)
+        pi = coupling_from_mass(space, mass)
         assert pi.row_marginal() == mu
         assert pi.col_marginal() == uniform
+
+    @given(space_with(n_rvs=2))
+    def test_marginals_are_row_and_column_sums(self, bundle):
+        space, x, y = bundle
+        pi = joint_coupling(x, y)
+        m = space.size
+        assert pi.row_marginal().weights == tuple(sum(row, Z) for row in pi.mass)
+        assert pi.col_marginal().weights == tuple(
+            sum((pi.mass[i][j] for i in range(m)), Z) for j in range(m)
+        )
+
+    def test_lowest_terms_required(self):
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        with pytest.raises(
+            PreconditionError, match="^coupling masses over 4 not in lowest terms$"
+        ):
+            CouplingMatrix(space, 4, ((2, 0), (0, 2)))
+        assert CouplingMatrix.reduced(space, 4, ((2, 0), (0, 2))) == CouplingMatrix(
+            space, 2, ((1, 0), (0, 1))
+        )
 
     def test_total_mass_checked(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
         with pytest.raises(PreconditionError, match="^coupling total mass 3/4 != 1$"):
-            CouplingMatrix(space, ((F(1, 2), Z), (Z, F(1, 4))))
+            coupling_from_mass(space, ((F(1, 2), Z), (Z, F(1, 4))))
 
     def test_negative_mass_checked(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
         with pytest.raises(PreconditionError, match="^negative coupling mass -1/4$"):
-            CouplingMatrix(space, ((F(1, 2), F(-1, 4)), (F(1, 4), F(1, 2))))
+            coupling_from_mass(space, ((F(1, 2), F(-1, 4)), (F(1, 4), F(1, 2))))
