@@ -7,10 +7,14 @@ affine mixture of the endpoint laws, it reproduces the endpoints
 exactly, and it contracts rho at rate 1 / (segment length).  The lift
 caches the common refinement of its endpoint slabs as (right, i, j)
 pieces over one denominator plus the cell masses; an evaluation at
-s = p / q is one walk over the pieces on integers over den * q, with a
-"mass still to move" counter per cell, merging equal neighbours.  rho
-between two times of one segment is the Ky Fan sweep of cached per-level
-tail masses scaled by the time difference, with no evaluation.
+local time s = p / q, one reduced integer pair, is one walk over the
+pieces on integers over den * q, with a "mass still to move" counter
+per cell, merging equal neighbours.  rho between two times of one
+segment is the Ky Fan sweep of cached per-level tail masses scaled by
+the time difference, with no evaluation.  Times are Fractions only at
+the interface: paths keep breakpoints as integer ticks over their lcm
+(ticks k <= t = p / r are the k <= p * den // r, ticks k < t the k <
+ceil(p * den / r)), and grids are tick sets, each point a Fraction once.
 
 Polygonal paths of measures are lifted segment by segment with
 prescribed endpoint variables; an arbitrary Lipschitz path of measures
@@ -49,21 +53,45 @@ from .spaces import FiniteMetricSpace, Measure, mixture, same_space
 DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
 
 
+def _time(t) -> Fraction:
+    return t if type(t) is Fraction else Fraction(t)
+
+
+def _ticks(times: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The times as integers over their lcm: (den, ticks), tick k meaning k / den."""
+    den = math.lcm(*(t.denominator for t in times))
+    return den, tuple(t.numerator * (den // t.denominator) for t in times)
+
+
+def _union(sources: Sequence[tuple[int, Sequence[int]]]) -> list[Fraction]:
+    """The sorted union of the times of several (den, ticks), over their lcm."""
+    den = math.lcm(*(d for d, _ in sources))
+    return [Fraction(k, den) for k in sorted({k * (den // d) for d, ks in sources for k in ks})]
+
+
+def _segment_index(den: int, ints: Sequence[int], t) -> int:
+    """The piece of breakpoints ints / den that holds t in [0, 1] (the last holds 1)."""
+    t = _time(t)
+    if t.numerator < 0 or t.numerator > t.denominator:
+        raise PreconditionError(f"time {t} outside [0, 1]")
+    return min(bisect_right(ints, t.numerator * den // t.denominator), len(ints) - 1) - 1
+
+
 def transfer_blocks(
     space: FiniteMetricSpace,
     den: int,
     pieces: Sequence[Piece],
     masses: Sequence[Sequence[int]],
-    s: Fraction,
+    num: int,
+    q: int,
 ) -> SimpleRandomVariable:
     """Rearranged variable after moving mass s * masses[i][j] per cell.
 
-    Pieces and masses are over den; one walk over the pieces, over den *
-    s.denominator, with one "mass still to move" counter per cell: the
+    Pieces and masses are over den, s = num / q; one walk over the pieces,
+    over den * q, with one "mass still to move" counter per cell: the
     leftmost s * masses[i][j] of cell (i, j) takes value j, the rest
     keeps value i.  Diagonal cells never move.
     """
-    num, q = s.numerator, s.denominator
     to_move = [[w * num for w in row] for row in masses]
     slabs = []
     left = 0
@@ -114,28 +142,32 @@ class SegmentLift:
     def space(self) -> FiniteMetricSpace:
         return self.x.space
 
-    def _local(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
-        if t < self.a or t > self.b:
+    def _local(self, t: Fraction) -> tuple[int, int]:
+        """(t - a) / (b - a) as (num, q) in lowest terms; a <= t <= b iff 0 <= num <= q."""
+        t, a, b = _time(t), self.a, self.b
+        num = (t.numerator * a.denominator - a.numerator * t.denominator) * b.denominator
+        q = (b.numerator * a.denominator - a.numerator * b.denominator) * t.denominator
+        if num < 0 or num > q:
             raise PreconditionError(f"time {t} outside [{self.a}, {self.b}]")
-        return (t - self.a) / (self.b - self.a)
+        g = math.gcd(num, q)
+        return num // g, q // g
 
     def eval(self, t: Fraction) -> SimpleRandomVariable:
-        return transfer_blocks(self.space, *self.refinement, self.masses, self._local(t))
+        return transfer_blocks(self.space, *self.refinement, self.masses, *self._local(t))
 
     def rho_between(self, s: Fraction, t: Fraction) -> Fraction:
         """rho(eval(s), eval(t)), exact and nondecreasing in |s - t|: cell (i, j)
         moves r = |s - t| / (b - a) of its mass from i to j in between, so
         the joint law is r * masses off the diagonal; no evaluation."""
-        r = abs(self._local(t) - self._local(s))
-        tails = [r.numerator * w for w in self.tails]
-        return _kyfan_from_tails(self.space, tails, self.refinement[0] * r.denominator)
+        (nt, qt), (ns, qs) = self._local(t), self._local(s)
+        tails = [abs(nt * qs - ns * qt) * w for w in self.tails]
+        return _kyfan_from_tails(self.space, tails, self.refinement[0] * qs * qt)
 
 
 def segment_lift(
     x: SimpleRandomVariable, y: SimpleRandomVariable, a: Fraction, b: Fraction
 ) -> SegmentLift:
-    return SegmentLift(Fraction(a), Fraction(b), x, y)
+    return SegmentLift(_time(a), _time(b), x, y)
 
 
 @dataclass(frozen=True)
@@ -157,16 +189,20 @@ class PolygonalPath:
         for v in self.vertices:
             same_space(v.space, self.space)
 
+    @cached_property
+    def ticks(self) -> tuple[int, tuple[int, ...]]:
+        return _ticks(self.breakpoints)
+
     def segment_index(self, t: Fraction) -> int:
-        if t < ZERO or t > ONE:
-            raise PreconditionError(f"time {t} outside [0, 1]")
-        return min(bisect_right(self.breakpoints, t) - 1, len(self.breakpoints) - 2)
+        return _segment_index(*self.ticks, t)
 
     def eval(self, t: Fraction) -> Measure:
-        t = Fraction(t)
+        t = _time(t)
         i = self.segment_index(t)
-        lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-        return mixture(self.vertices[i], self.vertices[i + 1], (t - lo) / (hi - lo))
+        den, ticks = self.ticks
+        lo, hi = ticks[i], ticks[i + 1]
+        s = Fraction(t.numerator * den - lo * t.denominator, (hi - lo) * t.denominator)
+        return mixture(self.vertices[i], self.vertices[i + 1], s)
 
 
 class SampledPath:
@@ -204,15 +240,14 @@ class SampledPath:
         is always valid because a mixture moves at most |s - t| / length
         of mass per segment."""
         if lipschitz is None:
-            lipschitz = max(
-                ONE / (hi - lo)
-                for lo, hi in zip(beta.breakpoints, beta.breakpoints[1:])
-            )
+            den, ticks = beta.ticks
+            lipschitz = Fraction(den, min(hi - lo for lo, hi in zip(ticks, ticks[1:])))
         return cls(beta.space, beta.eval, lipschitz, backbone=beta)
 
     def eval(self, t: Fraction) -> Measure:
-        t = Fraction(t)
-        if t < ZERO or t > ONE:
+        t = _time(t)
+        p, r = t.numerator, t.denominator
+        if p < 0 or p > r:
             raise PreconditionError(f"time {t} outside [0, 1]")
         cached = self._values.get(t)
         if cached is not None:
@@ -223,11 +258,13 @@ class SampledPath:
         for nb_idx in (pos - 1, pos):
             if 0 <= nb_idx < len(self._times):
                 nb = self._times[nb_idx]
-                bound = self.lipschitz * abs(t - nb)
-                if total_variation(self._values[nb], value) <= bound:
+                bound_num = self.lipschitz.numerator * abs(p * nb.denominator - nb.numerator * r)
+                bound_den = self.lipschitz.denominator * r * nb.denominator
+                tv = total_variation(self._values[nb], value)
+                if tv.numerator * bound_den <= bound_num * tv.denominator:
                     continue  # q <= TV, since A lies inside A^eps
                 gap = prokhorov(self._values[nb], value)
-                if gap > bound:
+                if gap.numerator * bound_den > bound_num * gap.denominator:
                     raise PreconditionError(
                         f"declared Lipschitz constant {self.lipschitz} violated: "
                         f"q(path({nb}), path({t})) = {gap} > "
@@ -268,15 +305,15 @@ class LiftedPath:
         return (self.segments[0].a,) + tuple(s.b for s in self.segments)
 
     @cached_property
+    def ticks(self) -> tuple[int, tuple[int, ...]]:
+        return _ticks(self.breakpoints)
+
+    @cached_property
     def vertices(self) -> tuple[SimpleRandomVariable, ...]:
         return (self.segments[0].x,) + tuple(s.y for s in self.segments)
 
     def eval(self, t: Fraction) -> SimpleRandomVariable:
-        t = Fraction(t)
-        if t < ZERO or t > ONE:
-            raise PreconditionError(f"time {t} outside [0, 1]")
-        idx = min(bisect_right(self.breakpoints, t) - 1, len(self.segments) - 1)
-        return self.segments[idx].eval(t)
+        return self.segments[_segment_index(*self.ticks, t)].eval(t)
 
     def law_path(self) -> PolygonalPath:
         """The exact polygonal of laws this path lifts."""
@@ -331,15 +368,12 @@ def approximate_polygonal(alpha: SampledPath, eps: Fraction) -> PolygonalPath:
 
 
 def _refined_grid(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> list[Fraction]:
-    points = set(prev.breakpoints) | set(beta.breakpoints)
-    if eps > ZERO:
-        # pieces of prev are rho-Lipschitz at rate 1/length, so relative
-        # sublength < eps keeps the oscillation below eps
-        parts = math.floor(1 / eps) + 1
-        for lo, hi in zip(prev.breakpoints, prev.breakpoints[1:]):
-            step = (hi - lo) / parts
-            points.update(lo + k * step for k in range(1, parts))
-    return sorted(points)
+    # pieces of prev are rho-Lipschitz at rate 1/length, so relative
+    # sublength < eps keeps the oscillation below eps
+    parts = math.floor(1 / eps) + 1 if eps > ZERO else 1
+    den, ticks = prev.ticks
+    fine = [k for lo, hi in zip(ticks, ticks[1:]) for k in range(lo * parts, hi * parts, hi - lo)]
+    return _union([(den * parts, fine), beta.ticks])  # beta's ticks hold 1
 
 
 def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[LiftedPath, Fraction]:
@@ -358,24 +392,24 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
         raise PreconditionError("closeness budget must be nonnegative")
     same_space(prev.space, beta.space)
     grid = _refined_grid(prev, beta, eps)
-    snapshots = {t: prev.eval(t) for t in grid}
-    if beta.vertices[0] != law(snapshots[grid[0]]):
+    snapshots = [prev.eval(t) for t in grid]
+    if beta.vertices[0] != law(snapshots[0]):
         raise PreconditionError("target path differs from prev's law at t = 0")
-    if beta.vertices[-1] != law(snapshots[grid[-1]]):
+    if beta.vertices[-1] != law(snapshots[-1]):
         raise PreconditionError("target path differs from prev's law at t = 1")
     # the endpoint gaps are 0 by the checks above; each interior point's
     # coupling serves both the budget check and the match
-    variables = [snapshots[grid[0]]]
+    variables = [snapshots[0]]
     drift = ZERO
-    for t in grid[1:-1]:
-        gap, witness = prokhorov_coupling(law(snapshots[t]), beta.eval(t))
+    for t, snapshot in zip(grid[1:-1], snapshots[1:-1]):
+        gap, witness = prokhorov_coupling(law(snapshot), beta.eval(t))
         if gap > eps:
             raise PreconditionError(
                 f"law gap {gap} at t = {t} exceeds the declared budget {eps}"
             )
         drift = max(drift, gap)
-        variables.append(realize_coupling(snapshots[t], witness))
-    variables.append(snapshots[grid[-1]])
+        variables.append(realize_coupling(snapshot, witness))
+    variables.append(snapshots[-1])
     segments = tuple(
         segment_lift(variables[i], variables[i + 1], grid[i], grid[i + 1])
         for i in range(len(variables) - 1)
@@ -388,9 +422,8 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
 
 def certification_grid(lift: LiftedPath) -> list[Fraction]:
     """Breakpoints plus piece midpoints; where certified sups are taken."""
-    bps = lift.breakpoints
-    mids = [(lo + hi) / 2 for lo, hi in zip(bps, bps[1:])]
-    return sorted(set(bps) | set(mids))
+    den, ticks = lift.ticks
+    return _union([(den, ticks), (2 * den, [lo + hi for lo, hi in zip(ticks, ticks[1:])])])
 
 
 def sup_rho_on_grid(
@@ -442,18 +475,18 @@ def verify_lift(
     """
     if grid_n < 2:
         raise PreconditionError("grid needs at least 2 points")
-    points = {Fraction(i, grid_n - 1) for i in range(grid_n)}
-    points.update(lift.breakpoints)
+    sources = [(grid_n - 1, range(grid_n)), lift.ticks]
     if isinstance(target, PolygonalPath):
-        points.update(target.breakpoints)
-    grid = sorted(points)
+        sources.append(target.ticks)
+    grid = _union(sources)
     values = [lift.eval(t) for t in grid]
     laws = [law(v) for v in values]
     gaps = [prokhorov(lw, target.eval(t)) for t, lw in zip(grid, laws)]
-    bps = lift.breakpoints
+    # each grid interval lies in the segment after the last tick k < its right end
+    den, ticks = lift.ticks
+    ends = (bisect_left(ticks, -(-t.numerator * den // t.denominator)) for t in grid[1:])
     continuity = tuple(
-        lift.segments[bisect_left(bps, t) - 1].rho_between(s, t)
-        for s, t in zip(grid, grid[1:])
+        lift.segments[i - 1].rho_between(s, t) for i, s, t in zip(ends, grid, grid[1:])
     )
     if endpoints is not None:
         endpoint_ok = (values[0] == endpoints[0], values[-1] == endpoints[1])

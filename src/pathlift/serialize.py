@@ -284,6 +284,8 @@ def load_json(path: str) -> Any:
         raise PreconditionError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise PreconditionError(f"{path}: {exc}") from exc
 
 
 def write_json_atomic(path: str, obj: Any) -> None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .omega import ONE, ZERO
+from .omega import ZERO
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,10 @@ def mixture(mu: Measure, nu: Measure, t: Fraction) -> Measure:
     """The affine combination (1-t) * mu + t * nu, exact: with t = p / q,
     integers over q * lcm(mu.den, nu.den)."""
     t = Fraction(t)
-    if t < ZERO or t > ONE:
+    p, q = t.numerator, t.denominator
+    if p < 0 or p > q:
         raise PreconditionError(f"mixture parameter {t} outside [0, 1]")
     same_space(mu.space, nu.space)
-    p, q = t.numerator, t.denominator
     den = math.lcm(mu.den, nu.den)
     a, b = (q - p) * (den // mu.den), p * (den // nu.den)
     return Measure.reduced(mu.space, q * den, [a * x + b * y for x, y in zip(mu.nums, nu.nums)])

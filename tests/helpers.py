@@ -293,7 +293,56 @@ def oracle_canonical(nu: Measure) -> tuple[IntervalSet, ...]:
     return tuple(split(full(), nu.weights))
 
 
+# -- time-grid oracles: the Fraction-set constructions -------------------
+
+def refined_grid_oracle(prev_bps, beta_bps, eps: Fraction) -> list[Fraction]:
+    """Both breakpoint sets plus every piece of prev cut into
+    floor(1 / eps) + 1 equal parts (no cuts when eps = 0), sorted."""
+    points = set(prev_bps) | set(beta_bps)
+    if eps > ZERO:
+        parts = math.floor(1 / eps) + 1
+        for lo, hi in zip(prev_bps, prev_bps[1:]):
+            step = (hi - lo) / parts
+            points.update(lo + k * step for k in range(1, parts))
+    return sorted(points)
+
+
+def verify_grid_oracle(grid_n: int, *breakpoint_sets) -> list[Fraction]:
+    """grid_n uniform points on [0, 1] joined with every breakpoint, sorted."""
+    points = {Fraction(i, grid_n - 1) for i in range(grid_n)}
+    for bps in breakpoint_sets:
+        points.update(bps)
+    return sorted(points)
+
+
 # -- hypothesis strategies ---------------------------------------------
+
+@st.composite
+def breakpoint_tuples(draw, max_inner: int = 6, max_den: int = 40):
+    """0 < ... < 1 over mixed denominators, as a tuple of Fractions."""
+    inner = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=max_den).filter(
+                lambda x: ZERO < x < ONE
+            ),
+            unique=True,
+            max_size=max_inner,
+        )
+    )
+    return (ZERO, *sorted(inner), ONE)
+
+
+@st.composite
+def times_around(draw, bps):
+    """Times in [0, 1]: every breakpoint, a point just either side of each,
+    off the lattice of their lcm den (within 1 / den), and arbitrary ones."""
+    den = math.lcm(*(b.denominator for b in bps))
+    nudge = Fraction(1, 7 * den + 1)
+    times = set(bps)
+    times.update(b + nudge for b in bps[:-1])
+    times.update(b - nudge for b in bps[1:])
+    times.update(draw(st.lists(st.fractions(0, 1, max_denominator=120), max_size=8)))
+    return sorted(times)
 
 @st.composite
 def fractions01(draw, max_den: int = 16):

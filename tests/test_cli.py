@@ -75,6 +75,18 @@ class TestProkhorovCommand:
         err = capsys.readouterr().err
         assert "bad.json:2" in err
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b'{"space": "\xff\xfe"}', "codec can't decode"), (b"[" * 100000, "recursion depth")],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_json_exit_two(self, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["prokhorov", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and reason in err
+
     def test_space_mismatch_is_precondition(self, tmp_path, crossing_pair, capsys):
         _, mu, _, mu_file, _ = crossing_pair
         other_space = validate_space(["a", "b"], [[Z, F(1, 2)], [F(1, 2), Z]])

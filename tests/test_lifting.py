@@ -1,11 +1,21 @@
 import random
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import fractions01, space_with
+from helpers import (
+    breakpoint_tuples,
+    fractions01,
+    refined_grid_oracle,
+    space_with,
+    times_around,
+    verify_grid_oracle,
+)
 from pathlift import (
     Measure,
     PolygonalPath,
@@ -27,7 +37,7 @@ from pathlift import (
     verify_lift,
 )
 from pathlift import gen, lifting
-from pathlift.lifting import certification_grid, decay_budgets, sup_rho_on_grid
+from pathlift.lifting import SegmentLift, certification_grid, decay_budgets, sup_rho_on_grid
 
 F = Fraction
 Z = F(0)
@@ -59,10 +69,17 @@ class TestPolygonalEval:
         assert beta.eval(F(3, 4)).weights == (F(1, 2), F(1, 2))
 
     def test_out_of_range(self):
+        # the time is read as a Fraction, from a str or a float too
         space = two_point_space()
-        beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "a")))
-        with pytest.raises(PreconditionError):
-            beta.eval(F(5, 4))
+        mu = dirac(space, "a")
+        beta = PolygonalPath(space, (Z, F(1)), (mu, mu))
+        lift = lift_polygonal(beta, canonical_rv(mu), canonical_rv(mu))
+        for late in (F(5, 4), "5/4", 1.25):
+            for path in (beta, lift, SampledPath.from_polygonal(beta)):
+                with pytest.raises(PreconditionError, match=r"^time 5/4 outside \[0, 1\]$"):
+                    path.eval(late)
+        with pytest.raises(PreconditionError, match=r"^time -1/3 outside \[0, 1\]$"):
+            lift.eval(F(-1, 3))
 
     @given(space_with(n_measures=2), fractions01())
     def test_single_segment_is_mixture(self, bundle, t):
@@ -104,8 +121,10 @@ class TestSegmentLift:
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
         seg = segment_lift(x, x, F(1, 4), F(3, 4))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^time 7/8 outside \[1/4, 3/4\]$"):
             seg.eval(F(7, 8))
+        with pytest.raises(PreconditionError, match=r"^time 1/8 outside \[1/4, 3/4\]$"):
+            seg.eval(F(1, 8))
 
     def test_degenerate_interval(self):
         space = two_point_space()
@@ -167,7 +186,7 @@ class TestSegmentLift:
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
         seg = segment_lift(x, x, F(1, 4), F(3, 4))
-        with pytest.raises(PreconditionError, match="outside"):
+        with pytest.raises(PreconditionError, match=r"^time 7/8 outside \[1/4, 3/4\]$"):
             seg.rho_between(F(1, 2), F(7, 8))
 
 
@@ -246,6 +265,26 @@ class TestSampledPath:
         for k in range(17):
             path.eval(F(k, 16))
         assert calls == []
+
+    def test_screen_and_check_hold_with_equality(self, monkeypatch):
+        # diracs at distance 1/10 queried at 1/3, then 5/6 (|dt| = 1/2): at L = 2
+        # the bound L * |dt| = 1 equals TV, so no max-flow runs; at L = 1/5 TV
+        # fails the screen and the bound 1/10 equals q, which is accepted
+        space = two_point_space(F(1, 10))
+        mu, nu = dirac(space, "a"), dirac(space, "b")
+        flows = []
+
+        def counted(a, b):
+            flows.append((a, b))
+            return prokhorov(a, b)
+
+        monkeypatch.setattr(lifting, "prokhorov", counted)
+        for lipschitz, expected in ((F(2), []), (F(1, 5), [(mu, nu)])):
+            flows.clear()
+            path = SampledPath(space, lambda t: mu if t < F(1, 2) else nu, lipschitz)
+            path.eval(F(1, 3))
+            assert path.eval(F(5, 6)) == nu
+            assert flows == expected
 
     def test_screen_falls_through_to_max_flow(self, monkeypatch):
         # diracs at distance 1/10: TV = 1 > L * |dt| = 1/5 >= q = 1/10
@@ -484,3 +523,70 @@ class TestVerifyLift:
         lift = lift_polygonal(beta, x, x)
         with pytest.raises(PreconditionError):
             verify_lift(lift, beta, grid_n=1)
+
+
+def polygonal_on(bps):
+    """A polygonal on the two-point space with these breakpoints."""
+    space = two_point_space()
+    a, b = dirac(space, "a"), dirac(space, "b")
+    return PolygonalPath(space, bps, tuple(mixture(a, b, F(k % 4, 3)) for k in range(len(bps))))
+
+
+def lift_of(beta):
+    return lift_polygonal(beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1]))
+
+
+class TestIntegerTimeAxis:
+    """Lookups and grids on integer ticks against bisect and sets of Fractions,
+    over breakpoints with mixed denominators."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_segment_lookups_match_bisect_right(self, data):
+        bps = data.draw(breakpoint_tuples())
+        beta = polygonal_on(bps)
+        lift = lift_of(beta)
+        for t in data.draw(times_around(bps)):
+            idx = min(bisect_right(bps, t) - 1, len(bps) - 2)
+            assert beta.segment_index(t) == idx
+            with mock.patch.object(SegmentLift, "eval", lambda seg, t: seg):
+                assert lift.eval(t) is lift.segments[idx]
+
+    @given(breakpoint_tuples(), breakpoint_tuples(), st.integers(2, 40))
+    @example((Z, F(1, 3), F(1)), (Z, F(1)), 3)  # 1/2 lies within 1/3 right of 1/3
+    @settings(max_examples=40, deadline=None)
+    def test_verify_grid_and_continuity_segments(self, lift_bps, target_bps, grid_n):
+        lift = lift_of(polygonal_on(lift_bps))
+        cert = verify_lift(lift, polygonal_on(target_bps), grid_n=grid_n)
+        grid = cert.grid
+        assert list(grid) == verify_grid_oracle(grid_n, lift_bps, target_bps)
+        assert cert.continuity_table == tuple(
+            lift.segments[bisect_left(lift_bps, t) - 1].rho_between(s, t)
+            for s, t in zip(grid, grid[1:])
+        )
+
+    @given(breakpoint_tuples(), breakpoint_tuples(), st.fractions(0, 1, max_denominator=9))
+    @settings(max_examples=60, deadline=None)
+    def test_refined_grid_matches_fraction_sets(self, prev_bps, beta_bps, eps):
+        prev = lift_of(polygonal_on(prev_bps))
+        grid = lifting._refined_grid(prev, polygonal_on(beta_bps), eps)
+        assert grid == refined_grid_oracle(prev_bps, beta_bps, eps)
+
+    @given(breakpoint_tuples())
+    @settings(max_examples=40, deadline=None)
+    def test_certification_grid_and_default_modulus(self, bps):
+        beta = polygonal_on(bps)
+        mids = {(lo + hi) / 2 for lo, hi in zip(bps, bps[1:])}
+        assert certification_grid(lift_of(beta)) == sorted(set(bps) | mids)
+        modulus = max(1 / (hi - lo) for lo, hi in zip(bps, bps[1:]))
+        assert SampledPath.from_polygonal(beta).lipschitz == modulus
+
+    @given(
+        st.lists(st.fractions(-2, 3, max_denominator=30), min_size=2, max_size=2, unique=True),
+        fractions01(max_den=120),
+    )
+    def test_local_time_is_the_reduced_fraction(self, ends, u):
+        a, b = sorted(ends)
+        x = canonical_rv(dirac(two_point_space(), "a"))
+        t = a + (b - a) * u
+        assert segment_lift(x, x, a, b)._local(t) == u.as_integer_ratio()
