@@ -35,6 +35,7 @@ from .prokhorov import (
 from .randomvars import kyfan_rho, law, match_to_law
 from .selftest import run_selftest
 from .serialize import (
+    SPACES_READ,
     blocks_to_obj,
     certificate_to_obj,
     dumps,
@@ -51,7 +52,6 @@ from .serialize import (
     weights_from_obj,
     write_json_atomic,
 )
-from .spaces import same_space
 
 MAX_CUBE_DIM = 3
 
@@ -92,7 +92,6 @@ def _load_endpoints(path):
 def cmd_prokhorov(args):
     mu = measure_from_obj(load_json(args.mu))
     nu = measure_from_obj(load_json(args.nu))
-    same_space(mu.space, nu.space)
     value, witness = prokhorov_coupling(mu, nu)
     doc = {"q_coupling": frac_str(value)}
     if mu.space.size <= SUBSET_ORACLE_LIMIT:
@@ -117,7 +116,6 @@ def cmd_prokhorov(args):
 def cmd_kyfan(args):
     x = _load_rv_file(args.x)
     y = _load_rv_file(args.y)
-    same_space(x.space, y.space)
     _emit({"rho": frac_str(kyfan_rho(x, y))}, args.out)
     return 0
 
@@ -125,7 +123,6 @@ def cmd_kyfan(args):
 def cmd_match(args):
     x = _load_rv_file(args.x)
     nu = measure_from_obj(load_json(args.nu))
-    same_space(x.space, nu.space)
     y = match_to_law(x, nu)
     rho = kyfan_rho(x, y)
     doc = {
@@ -142,7 +139,6 @@ def cmd_match(args):
 def cmd_segment(args):
     x = _load_rv_file(args.x)
     y = _load_rv_file(args.y)
-    same_space(x.space, y.space)
     beta = PolygonalPath(x.space, (ZERO, ONE), (law(x), law(y)))
     lift = lift_polygonal(beta, x, y)
     cert = verify_lift(lift, beta, grid_n=_grid(args), endpoints=(x, y))
@@ -346,6 +342,7 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    token = SPACES_READ.set([])  # each distinct space document is read once per command
     try:
         return args.func(args)
     except PreconditionError as exc:
@@ -354,6 +351,8 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        SPACES_READ.reset(token)
 
 
 if __name__ == "__main__":

@@ -72,9 +72,8 @@ def _level_tails(levels, mass) -> list[int]:
 
 def _kyfan_from_tails(space, tails: list[int], den: int) -> Fraction:
     """The Ky Fan infimum of tail masses over den; tails and distances over one lcm."""
-    dist_den = space.scaled[0]
-    unit = math.lcm(den, dist_den)
-    cuts = [cut * (unit // dist_den) for cut, _ in space.distance_levels]
+    unit = math.lcm(den, space.den)
+    cuts = [cut * (unit // space.den) for cut, _ in space.distance_levels]
     return Fraction(_upward_infimum(cuts, [v * (unit // den) for v in tails]), unit)
 
 
@@ -194,8 +193,8 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
     row_caps = [w * (den // mu.den) for w in mu.nums]
     col_caps = [w * (den // nu.den) for w in nu.nums]
     state = _FlowState(row_caps, col_caps)
-    unit = math.lcm(den, space.scaled[0])
-    step, scale = unit // space.scaled[0], unit // den
+    unit = math.lcm(den, space.den)
+    step, scale = unit // space.den, unit // den
 
     best = None          # (value over unit, flow snapshot)
     lo = 0
@@ -266,11 +265,10 @@ def prokhorov_subsets(mu: Measure, nu: Measure) -> Fraction:
         raise PreconditionError(
             f"subset oracle limited to {SUBSET_ORACLE_LIMIT} points, space has {m}"
         )
-    dist_den, rows = space.scaled
-    den = math.lcm(mu.den, nu.den, dist_den)
+    den = math.lcm(mu.den, nu.den, space.den)
     mu_w = [w * (den // mu.den) for w in mu.nums]
     nu_w = [w * (den // nu.den) for w in nu.nums]
-    d = [[x * (den // dist_den) for x in row] for row in rows]
+    d = [[x * (den // space.den) for x in row] for row in space.ints]
     best = 0
     for mask in range(1, 1 << m):
         members = [i for i in range(m) if mask >> i & 1]

@@ -12,6 +12,7 @@ import math
 import os
 import re
 import tempfile
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Any
 
@@ -19,9 +20,9 @@ from .errors import PreconditionError
 from .lifting import Certificate, LiftedPath, PolygonalPath, SampledPath, SegmentLift
 from .omega import IntervalSet
 from .randomvars import SimpleRandomVariable
-from .spaces import FiniteMetricSpace, Measure, validate_space
+from .spaces import FiniteMetricSpace, Measure
 
-_FRACTION_RE = re.compile(r"^-?\d+/\d+$")
+_FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
 
 def frac_str(x: Fraction) -> str:
@@ -34,13 +35,18 @@ def ratio_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def parse_frac(text: Any) -> Fraction:
-    if not isinstance(text, str) or not _FRACTION_RE.match(text):
+def _ratio(text: Any) -> tuple[int, int]:
+    """The integers p and q > 0 of a "p/q" string, as written."""
+    if not isinstance(text, str) or not (match := _FRACTION_RE.match(text)):
         raise PreconditionError(f'rational expected as "p/q" string, got {text!r}')
-    num, den = text.split("/")
-    if int(den) == 0:
+    num, den = int(match[1]), int(match[2])
+    if den == 0:
         raise PreconditionError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
+    return num, den
+
+
+def parse_frac(text: Any) -> Fraction:
+    return Fraction(*_ratio(text))
 
 
 # -- interval sets ----------------------------------------------------
@@ -61,12 +67,21 @@ def intervals_from_obj(obj: Any) -> IntervalSet:
 def space_to_obj(space: FiniteMetricSpace) -> dict:
     return {
         "points": list(space.points),
-        "dist": [[frac_str(x) for x in row] for row in space.dist],
+        "dist": [[ratio_str(x, space.den) for x in row] for row in space.ints],
     }
 
 
+# (document, space) pairs read by the running command, None outside one:
+# JSON-equal documents parse to the same value or error, so they share one space.
+SPACES_READ: ContextVar[list | None] = ContextVar("SPACES_READ", default=None)
+
+
 def space_from_obj(obj: Any) -> FiniteMetricSpace:
-    """Read the "space" entry of a document."""
+    """Read the "space" entry of a document, on integers over the lcm of its denominators."""
+    memo = SPACES_READ.get()
+    for doc, space in memo or ():
+        if doc == obj:
+            return space
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise PreconditionError('space must be {"points": [...], "dist": [[...]]}')
     points = obj["points"]
@@ -75,8 +90,15 @@ def space_from_obj(obj: Any) -> FiniteMetricSpace:
     rows = obj["dist"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise PreconditionError(f"space.dist must be a list of rows, got {rows!r}")
-    dist = [[parse_frac(x) for x in row] for row in rows]
-    return validate_space(points, dist)
+    pairs = [[_ratio(x) for x in row] for row in rows]
+    den = math.lcm(*(q for row in pairs for _, q in row))
+    ints = [[p * (den // q) for p, q in row] for row in pairs]
+    g = math.gcd(den, *(x for row in ints for x in row))
+    ints = tuple(tuple(x // g for x in row) for row in ints)
+    space = FiniteMetricSpace(tuple(points), den // g, ints)
+    if memo is not None:
+        memo.append((obj, space))
+    return space
 
 
 def weights_to_obj(mu: Measure) -> list[str]:

@@ -1,13 +1,13 @@
 """Finite metric spaces, probability measures on them, and couplings.
 
-Distances are exact Fractions, validated at construction with a witness
-in the error message.  ``scaled`` holds them as integers over their lcm
-for the O(m^3) triangle check and for ``distance_levels``: the distinct
-distances sorted once per space, each with its point pairs, which the
-Ky Fan sweep and the Prokhorov max-flow walk.  A measure is ``den`` and
-integer ``nums``, a coupling ``den`` and integer rows ``ints``, both in
-lowest terms, so ``==`` is exact and every operation stays on integers;
-the Fraction ``weights`` and ``mass`` are derived on demand.
+All three live on one integer lattice, in lowest terms, so ``==`` is
+exact and every operation stays on integers.  A space is ``den`` and
+integer distance rows ``ints``, validated at construction with a witness
+in the error message; ``distance_levels`` holds its distinct distances
+sorted once, each with its point pairs, which the Ky Fan sweep and the
+Prokhorov max-flow walk.  A measure is ``den`` and integer ``nums``, a
+coupling ``den`` and integer rows ``ints``.  The Fraction ``dist``,
+``weights`` and ``mass`` are derived on demand.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .omega import ZERO
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
+    """Finite metric space: d(points[i], points[j]) is ints[i][j] / den."""
+
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    den: int
+    ints: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         m = len(self.points)
@@ -33,32 +35,34 @@ class FiniteMetricSpace:
             raise PreconditionError("a metric space needs at least one point")
         if len(set(self.points)) != m:
             raise PreconditionError("duplicate point identifiers")
-        if len(self.dist) != m or any(len(row) != m for row in self.dist):
+        p, d = self.points, self.ints
+        if len(d) != m or any(len(row) != m for row in d):
             raise PreconditionError("distance matrix is not square of matching size")
-        p = self.points
-        d = self.dist
+        if self.den < 1 or math.gcd(self.den, *(x for row in d for x in row)) != 1:
+            raise PreconditionError(f"distances over {self.den} not in lowest terms")
         for i in range(m):
-            if d[i][i] != ZERO:
-                raise PreconditionError(f"nonzero diagonal: d({p[i]},{p[i]}) = {d[i][i]}")
+            if d[i][i] != 0:
+                raise PreconditionError(f"nonzero diagonal: d({p[i]},{p[i]}) = {self.dist[i][i]}")
         for i in range(m):
             for j in range(i + 1, m):
                 if d[i][j] != d[j][i]:
                     raise PreconditionError(
-                        f"asymmetry: d({p[i]},{p[j]}) = {d[i][j]} "
-                        f"but d({p[j]},{p[i]}) = {d[j][i]}"
+                        f"asymmetry: d({p[i]},{p[j]}) = {self.dist[i][j]} "
+                        f"but d({p[j]},{p[i]}) = {self.dist[j][i]}"
                     )
-                if d[i][j] <= ZERO:
+                if d[i][j] <= 0:
                     raise PreconditionError(
-                        f"non-positive distance: d({p[i]},{p[j]}) = {d[i][j]}"
+                        f"non-positive distance: d({p[i]},{p[j]}) = {self.dist[i][j]}"
                     )
-        for i, row_i in enumerate(self.scaled[1]):
-            for j, row_j in enumerate(self.scaled[1]):
+        # by symmetry the first violated triple (i, j, k) has i < k
+        for i, row_i in enumerate(d):
+            for j, row_j in enumerate(d):
                 via = row_i[j]
-                for k, direct in enumerate(row_i):
-                    if direct > via + row_j[k]:
+                for k in range(i + 1, m):
+                    if row_i[k] > via + row_j[k]:
                         raise PreconditionError(
                             f"triangle violation ({p[i]},{p[j]},{p[k]}): "
-                            f"{d[i][k]} > {d[i][j]} + {d[j][k]}"
+                            f"{self.dist[i][k]} > {self.dist[i][j]} + {self.dist[j][k]}"
                         )
 
     @property
@@ -72,19 +76,16 @@ class FiniteMetricSpace:
             raise PreconditionError(f"unknown point {point!r}") from None
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The distances as integers over their lcm: (den, rows)."""
-        den = math.lcm(*(x.denominator for row in self.dist for x in row))
-        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.dist)
-        return den, rows
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
 
     @cached_property
     def distance_levels(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """The distinct positive distances in increasing order, over scaled[0],
+        """The distinct positive distances in increasing order, over den,
         each with the ordered pairs (i, j), i != j, at that distance.
         Computed once per space; equality and hashing stay on the fields."""
         pairs: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.scaled[1]):
+        for i, row in enumerate(self.ints):
             for j, x in enumerate(row):
                 if i != j:
                     pairs.setdefault(x, []).append((i, j))
@@ -92,10 +93,10 @@ class FiniteMetricSpace:
 
 
 def validate_space(points: Sequence[str], dist: Sequence[Sequence[Fraction]]) -> FiniteMetricSpace:
-    """Build a metric space, reporting the violated axiom on failure."""
-    return FiniteMetricSpace(
-        tuple(points), tuple(tuple(Fraction(x) for x in row) for row in dist)
-    )
+    """The space of these rational distances, over their lcm; raises on a violated axiom."""
+    den = math.lcm(*(x.denominator for row in dist for x in row))
+    ints = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in dist)
+    return FiniteMetricSpace(tuple(points), den, ints)
 
 
 def same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> None:

@@ -6,16 +6,18 @@ from pathlib import Path
 import pytest
 
 from pathlift import canonical_rv, dirac, lift_polygonal, validate_space
-from pathlift import gen, lifting
+from pathlift import cli, gen, lifting
 from pathlift.cli import build_parser, main
 from pathlift.lifting import PolygonalPath
 from pathlift.serialize import (
+    SPACES_READ,
     blocks_to_obj,
     dumps,
     lift_to_obj,
     measure_to_obj,
     polygonal_to_obj,
     sampled_to_obj,
+    space_from_obj,
     space_to_obj,
 )
 
@@ -186,6 +188,28 @@ class TestLiftCommand:
         assert main(["lift", pf, ef, "--grid", "1"]) == 2
         assert capsys.readouterr().err == "error: grid needs at least 2 points\n"
 
+    def test_lift_laws_and_target_share_one_space(self, tmp_path, capsys, monkeypatch):
+        # both files carry the same space document, so they share one space object
+        rng = random.Random(67)
+        space = gen.rand_space(rng, 3)
+        beta = gen.rand_polygonal(rng, space, 3)
+        start, end = canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
+        pf = write(tmp_path / "path.json", polygonal_to_obj(beta))
+        ef = self._endpoint_file(tmp_path, space, start, end)
+        seen = []
+        verify = cli.verify_lift
+
+        def spy(lift, target, **kwargs):
+            seen.append((lift, target))
+            return verify(lift, target, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_lift", spy)
+        assert main(["lift", pf, ef, "--grid", "9"]) == 0
+        (lift, target), = seen
+        assert lift.space is target.space
+        assert all(v.space is target.space for v in target.vertices)
+        assert all(s.x.space is target.space for s in lift.segments)
+
     def test_endpoint_mismatch_exit_two(self, tmp_path, capsys):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
         beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "b")))
@@ -259,6 +283,75 @@ class TestParserOnce:
         assert len(cert["grid"]) >= 257
         assert build_parser.cache_info().misses == 1
         assert build_parser.cache_info().hits == 1
+
+
+class TestSpaceReadOncePerCommand:
+    """Within one command, JSON-equal space documents give one validated space."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        from pathlift.spaces import FiniteMetricSpace
+
+        calls = []
+        original = FiniteMetricSpace.__post_init__
+
+        def counted(space):
+            calls.append(space)
+            original(space)
+
+        monkeypatch.setattr(FiniteMetricSpace, "__post_init__", counted)
+        return calls
+
+    def test_same_document_validated_once_per_command(self, crossing_pair, capsys, validations):
+        _, _, _, mu_file, nu_file = crossing_pair
+        assert main(["prokhorov", mu_file, nu_file]) == 0
+        first = capsys.readouterr().out
+        assert len(validations) == 1
+        # the next command reads its space again
+        assert main(["prokhorov", mu_file, nu_file]) == 0
+        assert capsys.readouterr().out == first
+        assert len(validations) == 2
+        assert SPACES_READ.get() is None
+
+    def test_equal_values_in_other_text_still_match(self, tmp_path, capsys, validations):
+        def law_file(name, half):
+            space = {"points": ["a", "b"], "dist": [["0/1", half], [half, "0/1"]]}
+            doc = {"space": space, "weights": ["3/4", "1/4"] if name == "mu" else ["1/4", "3/4"]}
+            return write(tmp_path / f"{name}_{half.replace('/', '_')}.json", doc)
+
+        assert main(["prokhorov", law_file("mu", "1/2"), law_file("nu", "1/2")]) == 0
+        expected = capsys.readouterr().out
+        assert len(validations) == 1
+        assert main(["prokhorov", law_file("mu", "1/2"), law_file("nu", "2/4")]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(validations) == 3
+
+    @pytest.mark.parametrize(
+        "command, first, second",
+        [("prokhorov", "law", "law"), ("kyfan", "rv", "rv"), ("match", "rv", "law"),
+         ("segment", "rv", "rv")],
+    )
+    def test_different_values_still_refused(
+        self, tmp_path, capsys, validations, command, first, second
+    ):
+        files = {}
+        for name, d in (("one", "1/1"), ("half", "2/4")):
+            space = {"points": ["a", "b"], "dist": [["0/1", d], [d, "0/1"]]}
+            files[name, "rv"] = write(
+                tmp_path / f"{name}_rv.json", {"space": space, "blocks": {"a": [["0/1", "1/1"]]}}
+            )
+            files[name, "law"] = write(
+                tmp_path / f"{name}_law.json", {"space": space, "weights": ["1/2", "1/2"]}
+            )
+        assert main([command, files["one", first], files["half", second]]) == 2
+        assert capsys.readouterr().err == "error: operands live on different metric spaces\n"
+        assert len(validations) == 2
+
+    def test_library_calls_outside_a_command_keep_no_memo(self):
+        doc = space_to_obj(validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]]))
+        assert SPACES_READ.get() is None
+        assert space_from_obj(doc) is not space_from_obj(doc)
+        assert space_from_obj(doc) == space_from_obj(doc)
 
 
 class TestCubeCommand:

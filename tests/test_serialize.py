@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import interval_sets, intervals_to_obj, space_with
@@ -13,6 +13,7 @@ from pathlift import (
     SampledPath,
     canonical_rv,
     lift_polygonal,
+    validate_space,
 )
 from pathlift import gen
 from pathlift.lifting import verify_lift
@@ -41,6 +42,52 @@ from pathlift.serialize import (
 
 F = Fraction
 Z = F(0)
+
+SPACE_MUTATIONS = (
+    None, "zero denominator", "not a string", "ragged", "diagonal",
+    "negative", "asymmetric", "triangle",
+)
+
+
+@st.composite
+def space_documents(draw):
+    """(mutation, document): distances in [1/2, 1], so that every triangle
+    holds, each written over a k-fold denominator such as "2/4"; then the
+    mutation, if any, which makes the document invalid."""
+    mutation = draw(st.sampled_from(SPACE_MUTATIONS))
+    low = 2 if mutation in ("negative", "asymmetric") else 1
+    if mutation == "triangle":
+        m = draw(st.integers(20, 24))
+    else:
+        m = draw(st.integers(low, 6) | st.integers(20, 24))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = [[Z] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            q = rng.randint(1, 12)
+            d[i][j] = d[j][i] = F(rng.randint((q + 1) // 2, q), q)
+    i, j, k = sorted(rng.sample(range(m), 3)) if m > 2 else (0, m - 1, m - 1)
+    if mutation == "diagonal":
+        d[j][j] = F(1, rng.randint(1, 9))
+    elif mutation == "negative":
+        d[i][k] = d[k][i] = -d[i][k]
+    elif mutation == "asymmetric":
+        a, b = rng.choice(((i, k), (k, i)))
+        d[a][b] += F(1, rng.randint(2, 9))
+    elif mutation == "triangle":
+        d[i][k] = d[k][i] = d[i][j] + d[j][k] + F(1, rng.randint(1, 50))
+    rows = []
+    for row in d:
+        scales = [rng.randint(1, 3) for _ in row]
+        rows.append([f"{x.numerator * c}/{x.denominator * c}" for x, c in zip(row, scales)])
+    r, c = rng.randrange(m), rng.randrange(m)
+    if mutation == "zero denominator":
+        rows[r][c] = f"{rng.randint(0, 3)}/0"
+    elif mutation == "not a string":
+        rows[r][c] = rng.choice([1, 0.5, None, ["1/2"], "1/2/3", "0.5", "1", " 1/2"])
+    elif mutation == "ragged":
+        rows[r] = rows[r][:-1] if rng.random() < 0.5 else rows[r] + ["1/1"]
+    return mutation, {"points": [f"p{n}" for n in range(m)], "dist": rows}
 
 
 class TestFractionStrings:
@@ -88,6 +135,24 @@ class TestSpacesAndMeasures:
     def test_bad_space_rejected(self):
         with pytest.raises(PreconditionError):
             space_from_obj({"points": ["a"], "dist": [["0/1", "1/2"]]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(space_documents())
+    def test_integer_reader_matches_the_fraction_route(self, drawn):
+        mutation, doc = drawn
+        try:
+            fractions = [[parse_frac(x) for x in row] for row in doc["dist"]]
+            expected = validate_space(doc["points"], fractions)
+        except PreconditionError as exc:
+            assert mutation is not None
+            with pytest.raises(PreconditionError) as got:
+                space_from_obj(doc)
+            assert str(got.value) == str(exc)
+        else:
+            assert mutation is None
+            space = space_from_obj(doc)
+            assert space.dist == expected.dist
+            assert (space.den, space.ints) == (expected.den, expected.ints)
 
 
 class TestRandomVariables:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import coupling_from_mass, distinct_space, fractions01, space_with
 from pathlift import Measure, PreconditionError, dirac, joint_coupling, mixture, validate_space
-from pathlift.spaces import CouplingMatrix
+from pathlift.spaces import CouplingMatrix, FiniteMetricSpace
 
 F = Fraction
 Z = F(0)
@@ -68,6 +68,16 @@ class TestValidateSpace:
     def test_zero_off_diagonal(self):
         with pytest.raises(PreconditionError, match="non-positive"):
             validate_space(["a", "b"], [[Z, Z], [Z, Z]])
+
+    def test_lowest_terms_required(self):
+        with pytest.raises(PreconditionError, match="^distances over 4 not in lowest terms$"):
+            FiniteMetricSpace(("a", "b"), 4, ((0, 2), (2, 0)))
+        with pytest.raises(PreconditionError, match="^distances over 0 not in lowest terms$"):
+            FiniteMetricSpace(("a",), 0, ((0,),))
+        h, t = F(1, 2), F(1, 3)
+        space = validate_space(["a", "b", "c"], [[Z, h, t], [h, Z, h], [t, h, Z]])
+        assert (space.den, space.ints) == (6, ((0, 3, 2), (3, 0, 3), (2, 3, 0)))
+        assert space.dist[0][2] == F(1, 3)
 
 
 class TestMeasure:
