@@ -24,7 +24,6 @@ from .lifting import (
     segment_lift,
     verify_lift,
 )
-from .omega import IntervalSet
 from .prokhorov import (
     kyfan_functional,
     prokhorov,
@@ -55,7 +54,6 @@ __all__ = [
     "CubeInterpolation",
     "CubeLift",
     "FiniteMetricSpace",
-    "IntervalSet",
     "InvariantError",
     "LiftedPath",
     "Measure",

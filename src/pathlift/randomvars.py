@@ -13,8 +13,10 @@ integer measures and couplings of ``spaces``: ``law``, ``joint_coupling``
 (over the common ``refinement``), ``realize_coupling`` and
 ``canonical_rv``.  ``kyfan_rho`` is the metric of convergence in
 probability; ``match_to_law`` rearranges a variable to hit a target law
-at exactly the Prokhorov distance between the laws.  The per-point
-``blocks`` (IntervalSets) are derived only for the independent oracles.
+at exactly the Prokhorov distance between the laws.  Variables are
+built from slabs only: ``serialize`` reads the JSON blocks straight to
+slabs.  The per-point ``blocks`` (IntervalSets) are a derived view for
+the independent oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .omega import ONE, ZERO, IntervalSet
+from .omega import IntervalSet
 from .prokhorov import kyfan_functional, prokhorov_coupling
 from .spaces import CouplingMatrix, FiniteMetricSpace, Measure, same_space
 
@@ -61,26 +63,6 @@ class SimpleRandomVariable:
             if label == prev:
                 raise PreconditionError(f"adjacent slabs share the label {label}")
             prev = label
-
-    @classmethod
-    def from_blocks(
-        cls, space: FiniteMetricSpace, blocks: Sequence[IntervalSet]
-    ) -> "SimpleRandomVariable":
-        """The variable whose k-th point takes exactly the set blocks[k]."""
-        if len(blocks) != space.size:
-            raise PreconditionError("one block per point of the space is required")
-        pieces = sorted(
-            (left, right, label)
-            for label, block in enumerate(blocks)
-            for left, right in block.intervals
-        )
-        cuts = (ZERO,) + tuple(right for _, right, _ in pieces)
-        if cuts[-1] != ONE or any(left != cut for (left, _, _), cut in zip(pieces, cuts)):
-            raise PreconditionError("blocks must partition [0, 1) exactly")
-        # canonical blocks never hold two adjacent pieces of one label
-        den = math.lcm(*(cut.denominator for cut in cuts))
-        ints = tuple(cut.numerator * (den // cut.denominator) for cut in cuts)
-        return cls(space, den, ints, tuple(label for _, _, label in pieces))
 
     @classmethod
     def from_slabs(

@@ -11,6 +11,7 @@ larger counts through ``count_passes``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -26,7 +27,7 @@ from .lifting import (
     sup_rho_on_grid,
     verify_lift,
 )
-from .omega import ONE, ZERO, IntervalSet
+from .omega import ONE, ZERO
 from .prokhorov import kyfan_functional, prokhorov, prokhorov_coupling, prokhorov_subsets
 from .randomvars import canonical_rv, kyfan_rho, law, match_to_law
 from .serialize import (
@@ -41,23 +42,27 @@ from .spaces import mixture
 
 
 def rho_scan_oracle(x, y) -> Fraction:
-    """Scan oracle for rho: compares the measure of the union of cells
-    at distance >= each candidate threshold against the threshold.  The
-    thresholds come straight from the distance matrix, independently of
-    the cached distance levels the Ky Fan functional uses."""
+    """Scan oracle for rho: compares the measure of the set where x and y
+    lie at distance >= each candidate threshold against the threshold.
+    Each slab between consecutive cuts of either variable is labeled by
+    evaluating both at its left end, and the thresholds come straight
+    from the distance matrix, independently of the common refinement and
+    of the cached distance levels the Ky Fan functional uses."""
     space = x.space
     m = space.size
+
+    def at(v, t):  # the label v takes at time t in [0, 1)
+        return v.labels[bisect_right(v.cuts, t * v.den) - 1]
+
+    ends = sorted({Fraction(cut, v.den) for v in (x, y) for cut in v.cuts})
+    slabs = [(right - left, space.dist[at(x, left)][at(y, left)])
+             for left, right in zip(ends, ends[1:])]
     cuts = sorted({space.dist[i][j] for i in range(m) for j in range(m) if i != j})
     best = None
     lo = ZERO
     for cut in cuts + [None]:
-        far = IntervalSet.union_all(
-            x.blocks[i].intersect(y.blocks[j])
-            for i in range(space.size)
-            for j in range(space.size)
-            if cut is not None and space.dist[i][j] >= cut
-        )
-        cand = max(lo, far.measure)
+        far = sum((length for length, d in slabs if cut is not None and d >= cut), ZERO)
+        cand = max(lo, far)
         if cut is None or cand <= cut:
             if best is None or cand < best:
                 best = cand

@@ -3,6 +3,10 @@
 No floating point appears anywhere in I/O.  Writers emit keys in a
 fixed order and indent-2 text ending in one newline, so identical
 values serialize byte-identically and outputs are golden-file friendly.
+Readers parse each "p/q" to an integer pair: a space, a weight list and
+a variable's blocks are each scaled to integers over the lcm of their
+denominators and handed to one validating constructor, with no
+``Fraction`` built; times and tolerances are read as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Any
 
 from .errors import PreconditionError
 from .lifting import Certificate, LiftedPath, PolygonalPath, SampledPath, SegmentLift
-from .omega import IntervalSet
 from .randomvars import SimpleRandomVariable
 from .spaces import FiniteMetricSpace, Measure
 
@@ -47,19 +50,6 @@ def _ratio(text: Any) -> tuple[int, int]:
 
 def parse_frac(text: Any) -> Fraction:
     return Fraction(*_ratio(text))
-
-
-# -- interval sets ----------------------------------------------------
-
-def intervals_from_obj(obj: Any) -> IntervalSet:
-    if not isinstance(obj, list):
-        raise PreconditionError("interval set must be a list of [left, right] pairs")
-    pairs = []
-    for item in obj:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise PreconditionError(f"bad interval entry {item!r}")
-        pairs.append((parse_frac(item[0]), parse_frac(item[1])))
-    return IntervalSet.from_pairs(pairs)
 
 
 # -- spaces and measures ----------------------------------------------
@@ -106,9 +96,12 @@ def weights_to_obj(mu: Measure) -> list[str]:
 
 
 def weights_from_obj(space: FiniteMetricSpace, obj: Any) -> Measure:
+    """Read a weight list, on integers over the lcm of its denominators."""
     if not isinstance(obj, list):
         raise PreconditionError("weights must be a list of rationals")
-    return Measure.from_weights(space, [parse_frac(w) for w in obj])
+    pairs = [_ratio(w) for w in obj]
+    den = math.lcm(*(q for _, q in pairs))
+    return Measure.reduced(space, den, [p * (den // q) for p, q in pairs])
 
 
 def measure_to_obj(mu: Measure) -> dict:
@@ -134,15 +127,43 @@ def blocks_to_obj(x: SimpleRandomVariable) -> dict:
 
 
 def rv_from_blocks_obj(space: FiniteMetricSpace, obj: Any) -> SimpleRandomVariable:
+    """Read per-point lists of [left, right] pairs, on integers over the lcm
+    of their denominators.  Empty pairs are dropped; pairs of one point may
+    overlap or touch; the pairs of different points must tile [0, 1)."""
     if not isinstance(obj, dict):
         raise PreconditionError("blocks must map point names to interval lists")
     unknown = set(obj) - set(space.points)
     if unknown:
         raise PreconditionError(f"blocks name unknown points {sorted(unknown)}")
-    blocks = tuple(
-        intervals_from_obj(obj.get(point, [])) for point in space.points
-    )
-    return SimpleRandomVariable.from_blocks(space, blocks)
+    pairs = []  # (a, b, c, d, label): the piece [a/b, c/d) of point `label`
+    for label, point in enumerate(space.points):
+        items = obj.get(point, [])
+        if not isinstance(items, list):
+            raise PreconditionError("interval set must be a list of [left, right] pairs")
+        ends = []
+        for item in items:
+            if not (isinstance(item, list) and len(item) == 2):
+                raise PreconditionError(f"bad interval entry {item!r}")
+            ends.append(_ratio(item[0]) + _ratio(item[1]))
+        for a, b, c, d in ends:
+            if a * d < c * b:
+                if a < 0 or c > d:
+                    raise PreconditionError(
+                        f"interval [{Fraction(a, b)}, {Fraction(c, d)}) escapes [0, 1)"
+                    )
+                pairs.append((a, b, c, d, label))
+    den = math.lcm(*(q for _, b, _, d, _ in pairs for q in (b, d)))
+    pieces = sorted((a * (den // b), c * (den // d), label) for a, b, c, d, label in pairs)
+    # a piece starts where the slabs so far end, or inside the last slab, of its own point
+    end, slabs = 0, []
+    for left, right, label in pieces:
+        if left > end or (left < end and label != slabs[-1][1]):
+            raise PreconditionError("blocks must partition [0, 1) exactly")
+        end = max(end, right)
+        slabs.append((end, label))
+    if end != den:
+        raise PreconditionError("blocks must partition [0, 1) exactly")
+    return SimpleRandomVariable.from_slabs(space, den, slabs)
 
 
 def rv_to_obj(x: SimpleRandomVariable) -> dict:
@@ -278,16 +299,6 @@ def certificate_to_obj(cert: Certificate) -> dict:
         "endpoint_ok": list(cert.endpoint_ok),
         "decay_table": [frac_str(x) for x in cert.decay_table],
     }
-
-
-def certificate_from_obj(obj: Any) -> Certificate:
-    return Certificate(
-        grid=tuple(parse_frac(t) for t in obj["grid"]),
-        max_law_gap=parse_frac(obj["max_law_gap"]),
-        continuity_table=tuple(parse_frac(x) for x in obj["continuity_table"]),
-        endpoint_ok=(bool(obj["endpoint_ok"][0]), bool(obj["endpoint_ok"][1])),
-        decay_table=tuple(parse_frac(x) for x in obj["decay_table"]),
-    )
 
 
 # -- files -------------------------------------------------------------

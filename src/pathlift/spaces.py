@@ -131,8 +131,8 @@ class Measure:
 
     @classmethod
     def reduced(cls, space: FiniteMetricSpace, den: int, nums: Sequence[int]) -> "Measure":
-        """The measure with weights nums / den, the gcd divided out."""
-        g = math.gcd(*nums) or 1
+        """The measure with weights nums / den, their common gcd with den divided out."""
+        g = math.gcd(den, *nums)
         return cls(space, den // g, tuple(w // g for w in nums))
 
     @cached_property
@@ -183,8 +183,8 @@ class CouplingMatrix:
     def reduced(
         cls, space: FiniteMetricSpace, den: int, ints: Sequence[Sequence[int]]
     ) -> "CouplingMatrix":
-        """The coupling with cell masses ints / den, the gcd divided out."""
-        g = math.gcd(*(x for row in ints for x in row)) or 1
+        """The coupling with cell masses ints / den, their common gcd with den divided out."""
+        g = math.gcd(den, *(x for row in ints for x in row))
         return cls(space, den // g, tuple(tuple(x // g for x in row) for row in ints))
 
     @cached_property

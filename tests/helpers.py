@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from pathlift import (
     CouplingMatrix,
-    IntervalSet,
     Measure,
     PreconditionError,
     SimpleRandomVariable,
     validate_space,
 )
-from pathlift.omega import ONE, ZERO
+from pathlift.omega import ONE, ZERO, IntervalSet
+from pathlift.serialize import parse_frac
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -146,6 +146,103 @@ def _solve_tree(m, tree, row_w, col_w):
 # per-point blocks built only from it.  Nonatomic "leftmost carving":
 # prefix takes any requested mass from a set by walking it left to
 # right, and split cuts a set into consecutive slabs of given masses.
+# The Fraction route of the JSON block reader (from_pairs,
+# intervals_from_obj, rv_from_blocks) is the reader's reference.
+
+def from_pairs(pairs) -> IntervalSet:
+    """The canonical set of arbitrary pairs: empty pairs are dropped,
+    overlapping or adjacent pairs merge."""
+    cleaned = []
+    for left, right in pairs:
+        left, right = Fraction(left), Fraction(right)
+        if left >= right:
+            continue
+        if not (ZERO <= left and right <= ONE):
+            raise PreconditionError(f"interval [{left}, {right}) escapes [0, 1)")
+        cleaned.append((left, right))
+    cleaned.sort()
+    merged = []
+    for left, right in cleaned:
+        if merged and left <= merged[-1][1]:
+            if right > merged[-1][1]:
+                merged[-1] = (merged[-1][0], right)
+        else:
+            merged.append((left, right))
+    return IntervalSet(tuple(merged))
+
+
+def union_all(parts) -> IntervalSet:
+    """Union of many sets in one sorted sweep."""
+    return from_pairs(p for part in parts for p in part.intervals)
+
+
+def measure(a: IntervalSet) -> Fraction:
+    return sum((right - left for left, right in a.intervals), ZERO)
+
+
+def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    p, q = a.intervals, b.intervals
+    out = []
+    i = j = 0
+    while i < len(p) and j < len(q):
+        left = max(p[i][0], q[j][0])
+        right = min(p[i][1], q[j][1])
+        if left < right:
+            out.append((left, right))
+        if p[i][1] <= q[j][1]:
+            i += 1
+        else:
+            j += 1
+    # inputs canonical, so the sweep output is canonical already
+    return IntervalSet(tuple(out))
+
+
+def intervals_from_obj(obj) -> IntervalSet:
+    """One point's JSON list of "p/q" pairs, read through Fractions."""
+    if not isinstance(obj, list):
+        raise PreconditionError("interval set must be a list of [left, right] pairs")
+    pairs = []
+    for item in obj:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise PreconditionError(f"bad interval entry {item!r}")
+        pairs.append((parse_frac(item[0]), parse_frac(item[1])))
+    return from_pairs(pairs)
+
+
+def rv_from_blocks(space, blocks) -> SimpleRandomVariable:
+    """The variable whose k-th point takes exactly the set blocks[k]."""
+    if len(blocks) != space.size:
+        raise PreconditionError("one block per point of the space is required")
+    pieces = sorted(
+        (left, right, label)
+        for label, block in enumerate(blocks)
+        for left, right in block.intervals
+    )
+    cuts = (ZERO,) + tuple(right for _, right, _ in pieces)
+    if cuts[-1] != ONE or any(left != cut for (left, _, _), cut in zip(pieces, cuts)):
+        raise PreconditionError("blocks must partition [0, 1) exactly")
+    # canonical blocks never hold two adjacent pieces of one label
+    den = math.lcm(*(cut.denominator for cut in cuts))
+    ints = tuple(cut.numerator * (den // cut.denominator) for cut in cuts)
+    return SimpleRandomVariable(space, den, ints, tuple(label for _, _, label in pieces))
+
+
+def rv_from_blocks_obj_oracle(space, obj) -> SimpleRandomVariable:
+    """The JSON blocks of a variable, read per point through IntervalSets."""
+    if not isinstance(obj, dict):
+        raise PreconditionError("blocks must map point names to interval lists")
+    unknown = set(obj) - set(space.points)
+    if unknown:
+        raise PreconditionError(f"blocks name unknown points {sorted(unknown)}")
+    return rv_from_blocks(space, [intervals_from_obj(obj.get(p, [])) for p in space.points])
+
+
+def weights_from_obj_oracle(space, obj) -> Measure:
+    """A JSON weight list, read through Fractions."""
+    if not isinstance(obj, list):
+        raise PreconditionError("weights must be a list of rationals")
+    return Measure.from_weights(space, [parse_frac(w) for w in obj])
+
 
 def empty() -> IntervalSet:
     return IntervalSet(())
@@ -164,7 +261,7 @@ def issubset(a: IntervalSet, b: IntervalSet) -> bool:
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet.from_pairs(a.intervals + b.intervals)
+    return from_pairs(a.intervals + b.intervals)
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -203,8 +300,8 @@ def complement(a: IntervalSet) -> IntervalSet:
 def prefix(a: IntervalSet, t: Fraction) -> IntervalSet:
     """Leftmost subset of a of exact mass t; monotone in t."""
     t = Fraction(t)
-    if t < ZERO or t > a.measure:
-        raise PreconditionError(f"prefix mass {t} outside [0, {a.measure}]")
+    if t < ZERO or t > measure(a):
+        raise PreconditionError(f"prefix mass {t} outside [0, {measure(a)}]")
     out = []
     remaining = t
     for left, right in a.intervals:
@@ -223,8 +320,8 @@ def split(a: IntervalSet, weights) -> list[IntervalSet]:
     if any(w < ZERO for w in weights):
         raise PreconditionError(f"negative split weight in {weights}")
     total = sum(weights, ZERO)
-    if total != a.measure:
-        raise PreconditionError(f"split weights sum to {total}, set has measure {a.measure}")
+    if total != measure(a):
+        raise PreconditionError(f"split weights sum to {total}, set has measure {measure(a)}")
     pieces = a.intervals
     parts = []
     idx = 0
@@ -251,15 +348,15 @@ def split(a: IntervalSet, weights) -> list[IntervalSet]:
 
 def oracle_cells(x, y) -> tuple[tuple[IntervalSet, ...], ...]:
     """Cell (i, j) = A_i & B_j, by intersection."""
-    return tuple(tuple(a.intersect(b) for b in y.blocks) for a in x.blocks)
+    return tuple(tuple(intersect(a, b) for b in y.blocks) for a in x.blocks)
 
 
 def oracle_law(x) -> tuple[Fraction, ...]:
-    return tuple(b.measure for b in x.blocks)
+    return tuple(measure(b) for b in x.blocks)
 
 
 def oracle_joint(x, y) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(c.measure for c in row) for row in oracle_cells(x, y))
+    return tuple(tuple(measure(c) for c in row) for row in oracle_cells(x, y))
 
 
 def oracle_transfer(x, y, s: Fraction) -> tuple[IntervalSet, ...]:
@@ -268,7 +365,7 @@ def oracle_transfer(x, y, s: Fraction) -> tuple[IntervalSet, ...]:
     cells = oracle_cells(x, y)
     m = len(cells)
     moved = {
-        (i, j): prefix(cells[i][j], s * cells[i][j].measure)
+        (i, j): prefix(cells[i][j], s * measure(cells[i][j]))
         for i in range(m)
         for j in range(m)
         if i != j
@@ -278,7 +375,7 @@ def oracle_transfer(x, y, s: Fraction) -> tuple[IntervalSet, ...]:
         parts = [cells[i][i]]
         parts += [moved[k, i] for k in range(m) if k != i]
         parts += [difference(cells[i][j], moved[i, j]) for j in range(m) if j != i]
-        blocks.append(IntervalSet.union_all(parts))
+        blocks.append(union_all(parts))
     return tuple(blocks)
 
 
@@ -286,7 +383,7 @@ def oracle_realize(x, pi: CouplingMatrix) -> tuple[IntervalSet, ...]:
     """Block j = union over i of the j-th leftmost piece of A_i split by row i."""
     m = len(x.blocks)
     pieces = [split(x.blocks[i], pi.mass[i]) for i in range(m)]
-    return tuple(IntervalSet.union_all(pieces[i][j] for i in range(m)) for j in range(m))
+    return tuple(union_all(pieces[i][j] for i in range(m)) for j in range(m))
 
 
 def oracle_canonical(nu: Measure) -> tuple[IntervalSet, ...]:
@@ -358,7 +455,7 @@ def interval_sets(draw, den: int = 32, max_cuts: int = 8):
         for k in range(0, len(cuts) - 1, 2)
     ]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return IntervalSet.from_pairs(p for p, keep in zip(pairs, mask) if keep)
+    return from_pairs(p for p, keep in zip(pairs, mask) if keep)
 
 
 @st.composite
@@ -404,9 +501,7 @@ def rvs_on(draw, space, den: int = 24, max_slabs: int = 6):
     pieces = [[] for _ in range(space.size)]
     for (lo, hi), lab in zip(zip(bounds, bounds[1:]), labels):
         pieces[lab].append((lo, hi))
-    return SimpleRandomVariable.from_blocks(
-        space, tuple(IntervalSet.from_pairs(p) for p in pieces)
-    )
+    return rv_from_blocks(space, tuple(from_pairs(p) for p in pieces))
 
 
 @st.composite

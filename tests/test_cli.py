@@ -1,14 +1,21 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pathlift import canonical_rv, dirac, lift_polygonal, validate_space
 from pathlift import cli, gen, lifting
 from pathlift.cli import build_parser, main
-from pathlift.lifting import PolygonalPath
+from pathlift.lifting import PolygonalPath, SampledPath
 from pathlift.serialize import (
     SPACES_READ,
     blocks_to_obj,
@@ -19,6 +26,7 @@ from pathlift.serialize import (
     sampled_to_obj,
     space_from_obj,
     space_to_obj,
+    weights_to_obj,
 )
 
 F = Fraction
@@ -356,8 +364,6 @@ class TestSpaceReadOncePerCommand:
 
 class TestCubeCommand:
     def test_base_case_reduces_to_segment(self, tmp_path, capsys):
-        from pathlift.serialize import weights_to_obj
-
         rng = random.Random(65)
         space = gen.rand_space(rng, 3)
         mu, nu = gen.rand_measure(rng, space), gen.rand_measure(rng, space)
@@ -389,8 +395,6 @@ class TestCubeCommand:
 @pytest.fixture
 def two_point_files(tmp_path):
     """Input files of every grid-taking command, for the path a -> b."""
-    from pathlift.serialize import weights_to_obj
-
     space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
     x, y = canonical_rv(dirac(space, "a")), canonical_rv(dirac(space, "b"))
     beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "b")))
@@ -478,6 +482,93 @@ class TestMalformedInput:
         y_file = write(tmp_path / "y.json", {"space": space, "blocks": {"a": [["0/1", "1/1"]]}})
         assert main(["kyfan", x_file, y_file]) == 2
         assert "blocks must partition [0, 1) exactly" in capsys.readouterr().err
+
+
+@functools.cache
+def valid_documents():
+    """One valid input document of each kind, over a 3-point space."""
+    rng = random.Random(68)
+    space = gen.rand_space(rng, 3)
+    beta = gen.rand_polygonal(rng, space, 3)
+    x, y = canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
+    sp = space_to_obj(space)
+    return {
+        "mu": measure_to_obj(beta.vertices[0]),
+        "nu": measure_to_obj(beta.vertices[1]),
+        "x": {"space": sp, "blocks": blocks_to_obj(x)},
+        "y": {"space": sp, "blocks": blocks_to_obj(y)},
+        "path": polygonal_to_obj(beta),
+        "sampled": sampled_to_obj(SampledPath.from_polygonal(beta), beta),
+        "ends": {"space": sp, "start": blocks_to_obj(x), "end": blocks_to_obj(y)},
+        "lift": lift_to_obj(lift_polygonal(beta, x, y)),
+        "corners": {"space": sp, "corners": [weights_to_obj(v) for v in beta.vertices]},
+    }
+
+
+# command -> (the documents it reads, each a choice of kinds; its options)
+FILE_COMMANDS = {
+    "prokhorov": ([["mu"], ["nu"]], []),
+    "kyfan": ([["x"], ["y"]], []),
+    "match": ([["x"], ["nu"]], []),
+    "segment": ([["x"], ["y"]], ["--grid", "5"]),
+    "lift": ([["path", "sampled"], ["ends"]], ["--tol", "1/2", "--iters", "1", "--grid", "5"]),
+    "relift": ([["lift"], ["path"]], ["--tol", "1/4", "--grid", "5"]),
+    "verify": ([["lift"], ["path"]], ["--grid", "5"]),
+    "cube": ([["corners"]], ["--grid", "3"]),
+}
+FUZZ_VALUES = (
+    None, True, 0, -1, 0.5, "", "x", "0/1", "1/2", "-1/2", "3/2", "1/0",
+    [], {}, ["0/1", "1/1"], [["0/1", "1/1"]],
+)
+
+
+def node_paths(obj, path=()):
+    """The path of keys and indices to every node of a JSON document."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from node_paths(value, path + (key,))
+
+
+def mutated(obj, path, how, value):
+    """A copy of obj with the node at path replaced by value, deleted, or
+    duplicated (next to itself in a list, under a new key in an object)."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    *head, last = path
+    parent = functools.reduce(lambda node, key: node[key], head, obj)
+    if how == "replace":
+        parent[last] = value
+    elif how == "delete":
+        del parent[last]
+    elif isinstance(parent, list):
+        parent.insert(last, copy.deepcopy(parent[last]))
+    else:
+        parent[f"{last}2"] = copy.deepcopy(parent[last])
+    return obj
+
+
+class TestInputContract:
+    """Any file a command reads, one node mutated, gives exit 0 or 2 and no traceback."""
+
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_one_mutated_node_exits_zero_or_two(self, command, data):
+        kinds, options = FILE_COMMANDS[command]
+        docs = [valid_documents()[data.draw(st.sampled_from(choice))] for choice in kinds]
+        k = data.draw(st.integers(0, len(docs) - 1))
+        path = data.draw(st.sampled_from(list(node_paths(docs[k]))))
+        how = data.draw(st.sampled_from(["replace", "delete", "duplicate"][:3 if path else 1]))
+        docs[k] = mutated(docs[k], path, how, data.draw(st.sampled_from(FUZZ_VALUES)))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [write(Path(tmp) / f"in{n}.json", doc) for n, doc in enumerate(docs)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *files, *options])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSelftestCommand:

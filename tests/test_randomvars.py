@@ -9,17 +9,19 @@ from helpers import (
     difference,
     empty,
     fractions01,
+    from_pairs,
     full,
+    measure,
     oracle_canonical,
     oracle_cells,
     oracle_joint,
     oracle_law,
     oracle_realize,
     oracle_transfer,
+    rv_from_blocks,
     space_with,
 )
 from pathlift import (
-    IntervalSet,
     Measure,
     PreconditionError,
     SimpleRandomVariable,
@@ -36,6 +38,7 @@ from pathlift import (
     validate_space,
 )
 from pathlift.selftest import rho_scan_oracle
+from pathlift.serialize import rv_from_blocks_obj
 
 F = Fraction
 Z = F(0)
@@ -46,16 +49,15 @@ def two_point_space(distance):
 
 
 def iset(*pairs):
-    return IntervalSet.from_pairs([(F(a), F(b)) for a, b in pairs])
+    return from_pairs([(F(a), F(b)) for a, b in pairs])
 
 
 class TestConstruction:
     def test_blocks_must_partition(self):
         space = two_point_space(F(1))
-        with pytest.raises(PreconditionError):
-            SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), iset((0, F(1, 2)))))
-        with pytest.raises(PreconditionError):
-            SimpleRandomVariable.from_blocks(space, (iset((0, F(1, 2))), empty()))
+        for blocks in ({"a": [["0/1", "1/2"]], "b": [["0/1", "1/2"]]}, {"a": [["0/1", "1/2"]]}):
+            with pytest.raises(PreconditionError, match="must partition"):
+                rv_from_blocks_obj(space, blocks)
 
     @pytest.mark.parametrize(
         "den, cuts, labels",
@@ -90,7 +92,7 @@ class TestConstruction:
         space = two_point_space(F(1))
         x = SimpleRandomVariable(space, 4, (0, 1, 2, 4), (1, 0, 1))
         assert x.blocks == (iset((F(1, 4), F(1, 2))), iset((0, F(1, 4)), (F(1, 2), 1)))
-        assert SimpleRandomVariable.from_blocks(space, x.blocks) == x
+        assert rv_from_blocks(space, x.blocks) == x
 
     def test_from_slabs_divides_out_the_gcd(self):
         space = two_point_space(F(1))
@@ -102,7 +104,8 @@ class TestConstruction:
 
     def test_empty_blocks_allowed(self):
         space = two_point_space(F(1))
-        x = SimpleRandomVariable.from_blocks(space, (full(), empty()))
+        x = rv_from_blocks_obj(space, {"a": [["0/1", "1/1"]], "b": []})
+        assert x == rv_from_blocks(space, (full(), empty()))
         assert law(x) == dirac(space, "a")
 
 
@@ -113,7 +116,7 @@ class TestLaw:
 
     def test_block_measures(self):
         space = two_point_space(F(1))
-        x = SimpleRandomVariable.from_blocks(space, (iset((0, F(3, 4))), iset((F(3, 4), 1))))
+        x = rv_from_blocks(space, (iset((0, F(3, 4))), iset((F(3, 4), 1))))
         assert law(x).weights == (F(3, 4), F(1, 4))
 
     def test_invariant_under_relabeling(self):
@@ -123,8 +126,8 @@ class TestLaw:
         # build the same sets through different boolean expressions
         rebuilt = difference(full(), rest)
         assert rebuilt == first
-        x = SimpleRandomVariable.from_blocks(space, (first, rest))
-        y = SimpleRandomVariable.from_blocks(space, (rebuilt, difference(full(), first)))
+        x = rv_from_blocks(space, (first, rest))
+        y = rv_from_blocks(space, (rebuilt, difference(full(), first)))
         assert x == y
         assert law(x) == law(y)
 
@@ -138,7 +141,7 @@ class TestKyfanRho:
     def test_quarter_disagreement(self):
         space = two_point_space(F(1))
         x = canonical_rv(dirac(space, "a"))
-        y = SimpleRandomVariable.from_blocks(space, (iset((F(1, 4), 1)), iset((0, F(1, 4)))))
+        y = rv_from_blocks(space, (iset((F(1, 4), 1)), iset((0, F(1, 4)))))
         assert kyfan_rho(x, y) == F(1, 4)
 
     def test_total_disagreement_small_distance(self):
@@ -267,7 +270,7 @@ class TestSlabsAgainstBlockOracle:
         space, _, x, y = bundle
         assert law(x).weights == oracle_law(x)
         assert joint_coupling(x, y).mass == oracle_joint(x, y)
-        assert SimpleRandomVariable.from_blocks(space, x.blocks) == x
+        assert rv_from_blocks(space, x.blocks) == x
 
     @given(SLAB_BUNDLES, fractions01(max_den=60))
     @settings(max_examples=60, deadline=None)
@@ -281,7 +284,7 @@ class TestSlabsAgainstBlockOracle:
                 reached = Z
                 for lo, hi in cell.intervals:
                     reached += hi - lo
-                    times.add(reached / cell.measure)
+                    times.add(reached / measure(cell))
         for t in times:
             assert seg.eval(t).blocks == oracle_transfer(x, y, t)
         shifted = segment_lift(x, y, F(1, 3), F(2))

@@ -6,12 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import interval_sets, intervals_to_obj, space_with
+from helpers import (
+    complement,
+    interval_sets,
+    intervals_to_obj,
+    rv_from_blocks_obj_oracle,
+    space_with,
+    weights_from_obj_oracle,
+)
 from pathlift import (
     PolygonalPath,
     PreconditionError,
     SampledPath,
     canonical_rv,
+    law,
     lift_polygonal,
     validate_space,
 )
@@ -19,11 +27,9 @@ from pathlift import gen
 from pathlift.lifting import verify_lift
 from pathlift.serialize import (
     blocks_to_obj,
-    certificate_from_obj,
     certificate_to_obj,
     dumps,
     frac_str,
-    intervals_from_obj,
     lift_from_obj,
     lift_to_obj,
     measure_from_obj,
@@ -32,13 +38,16 @@ from pathlift.serialize import (
     path_from_obj,
     polygonal_to_obj,
     ratio_str,
+    rv_from_blocks_obj,
     rv_from_obj,
     rv_to_obj,
     sampled_to_obj,
     space_from_obj,
     space_to_obj,
+    weights_from_obj,
     weights_to_obj,
 )
+from pathlift import serialize
 
 F = Fraction
 Z = F(0)
@@ -109,15 +118,20 @@ class TestFractionStrings:
                 parse_frac(bad)
 
 
+TWO_POINTS = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+
+
 class TestIntervalSets:
     @given(interval_sets())
     def test_round_trip(self, s):
-        assert intervals_from_obj(intervals_to_obj(s)) == s
+        blocks = {"a": intervals_to_obj(s), "b": intervals_to_obj(complement(s))}
+        assert rv_from_blocks_obj(TWO_POINTS, blocks).blocks == (s, complement(s))
 
     def test_normalizes_on_read(self):
-        obj = [["1/2", "3/4"], ["0/1", "1/2"]]
-        s = intervals_from_obj(obj)
-        assert s.intervals == ((Z, F(3, 4)),)
+        obj = {"a": [["1/2", "3/4"], ["0/1", "1/2"]], "b": [["3/4", "1/1"]]}
+        x = rv_from_blocks_obj(TWO_POINTS, obj)
+        assert x.blocks[0].intervals == ((Z, F(3, 4)),)
+        assert (x.den, x.cuts, x.labels) == (4, (0, 3, 4), (0, 1))
 
 
 class TestSpacesAndMeasures:
@@ -153,6 +167,152 @@ class TestSpacesAndMeasures:
             space = space_from_obj(doc)
             assert space.dist == expected.dist
             assert (space.den, space.ints) == (expected.den, expected.ints)
+
+
+BLOCK_MUTATIONS = (
+    "escape", "overlap", "gap", "malformed entry", "bad rational", "not a list",
+    "missing point", "unknown point",
+)
+WEIGHT_MUTATIONS = ("negative weight", "mis-summed", "bad weight", "weights not a list")
+
+
+def k_fold(rng, x):
+    """x as "p/q" over a k-fold denominator, such as "2/4"."""
+    k = rng.randint(1, 3)
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+@st.composite
+def block_documents(draw):
+    """(mutations, space, blocks, weights): a variable's blocks and a weight
+    list as files may write them.  Pairs are shuffled, a slab may be cut
+    into two pieces that overlap or touch, empty pairs (some outside
+    [0, 1)) are mixed in, and every end is over a k-fold denominator.
+    Then up to two mutations, each of which may make a document invalid."""
+    mutations = draw(st.lists(st.sampled_from(BLOCK_MUTATIONS + WEIGHT_MUTATIONS),
+                              max_size=2, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = rng.randint(1, 5)
+    points = [f"p{n}" for n in range(m)]
+    space = validate_space(points, [[F(int(i != j)) for j in range(m)] for i in range(m)])
+    den = rng.randint(1, 24)
+    cuts = [0, *sorted(rng.sample(range(1, den), min(den - 1, rng.randint(0, 6)))), den]
+    slabs = [(F(lo, den), F(hi, den), rng.choice(points)) for lo, hi in zip(cuts, cuts[1:])]
+    entries = []  # (point, [left, right], slab index or None)
+    for k, (lo, hi, point) in enumerate(slabs):
+        mid = lo + (hi - lo) * F(rng.randint(1, 3), 4)
+        back = (mid - lo) * F(rng.randint(0, 2), 4)
+        pieces = [(lo, hi)] if rng.random() < 0.5 else [(lo, mid), (mid - back, hi)]
+        entries += [(point, [k_fold(rng, a), k_fold(rng, b)], k) for a, b in pieces]
+    for _ in range(rng.randint(0, 2)):
+        a = F(rng.randint(-4, 8), 4)
+        b = a - F(rng.randint(0, 2), 4)
+        entries.append((rng.choice(points), [k_fold(rng, a), k_fold(rng, b)], None))
+    k = rng.randrange(len(entries))
+    if "escape" in mutations:
+        entries.append((rng.choice(points), rng.choice([["-1/4", "1/4"], ["3/4", "5/4"]]), None))
+    if "overlap" in mutations:
+        lo, hi, point = rng.choice(slabs)
+        other = rng.choice([p for p in points if p != point] or points)
+        entries.append((other, [k_fold(rng, lo), k_fold(rng, (lo + hi) / 2)], None))
+    if "gap" in mutations:
+        gone = rng.randrange(len(slabs))
+        entries = [e for e in entries if e[2] != gone]
+    if "malformed entry" in mutations and entries:
+        entries[k % len(entries)] = (entries[k % len(entries)][0], rng.choice(
+            [["1/2"], "1/2", ["0/1", "1/2", "1/1"], None, 5]), None)
+    if "bad rational" in mutations and entries:
+        point, pair, _ = entries[k % len(entries)]
+        if isinstance(pair, list) and len(pair) == 2:
+            pair[rng.randrange(2)] = rng.choice(["1/0", "0.5", 1, None, "a/b", " 1/2"])
+    rng.shuffle(entries)
+    blocks = {point: [] for point in points}
+    for point, pair, _ in entries:
+        blocks[point].append(pair)
+    if "not a list" in mutations:
+        blocks[rng.choice(points)] = rng.choice([{"0/1": "1/1"}, "0/1", 1])
+    if "missing point" in mutations:
+        del blocks[rng.choice(points)]
+    if "unknown point" in mutations:
+        blocks[rng.choice(["zz", "p9"])] = []
+    nums = [0, *sorted(rng.randint(0, den) for _ in range(m - 1)), den]
+    weights = [F(hi - lo, den) for lo, hi in zip(nums, nums[1:])]
+    i, j = rng.randrange(m), rng.randrange(m)
+    if "negative weight" in mutations and i != j:
+        shift = weights[i] + F(1, rng.randint(1, 9))
+        weights[i] -= shift
+        weights[j] += shift
+    if "mis-summed" in mutations:
+        weights[i] += F(rng.choice([-1, 1]), rng.randint(2, 9))
+    weights = [k_fold(rng, w) for w in weights]
+    if "bad weight" in mutations:
+        weights[j] = rng.choice(["1/0", "0.5", 1, None, "a/b"])
+    if "weights not a list" in mutations:
+        weights = {"p0": weights[0]}
+    return mutations, space, blocks, weights
+
+
+def read_alike(read, oracle, space, obj, fields) -> bool:
+    """Whether obj is valid, asserting that read gives the oracle's fields
+    or raises the oracle's error text."""
+    try:
+        expected = oracle(space, obj)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as got:
+            read(space, obj)
+        assert str(got.value) == str(exc)
+        return False
+    value = read(space, obj)
+    assert [getattr(value, f) for f in fields] == [getattr(expected, f) for f in fields]
+    return True
+
+
+class TestBlocksAndWeightsReader:
+    @settings(max_examples=300, deadline=None)
+    @given(block_documents())
+    def test_integer_reader_matches_the_fraction_route(self, drawn):
+        mutations, space, blocks, weights = drawn
+        valid = read_alike(rv_from_blocks_obj, rv_from_blocks_obj_oracle, space, blocks,
+                           ("den", "cuts", "labels"))
+        assert valid or set(mutations) & set(BLOCK_MUTATIONS)
+        valid = read_alike(weights_from_obj, weights_from_obj_oracle, space, weights,
+                           ("den", "nums"))
+        assert valid or set(mutations) & set(WEIGHT_MUTATIONS)
+
+    @pytest.mark.parametrize(
+        "blocks, error",
+        [
+            ({"zz": 5, "a": [["1/0", "1/1"]]}, "blocks name unknown points ['zz']"),
+            ({"a": [["0/1", "3/2"]], "b": [["x", "1/1"]]}, "interval [0, 3/2) escapes [0, 1)"),
+            ({"a": [["0/1", "3/2"], ["1/0", "1/1"]]}, "zero denominator in '1/0'"),
+            ({"a": [["0/1", "3/2"], "0/1"]}, "bad interval entry '0/1'"),
+            ({"a": [["-1/2", "1/2"]], "b": [["1/2", "3/2"]]},
+             "interval [-1/2, 1/2) escapes [0, 1)"),
+            ({"a": [["3/2", "3/2"], ["2/1", "-1/1"]], "b": [["0/1", "1/1"]]}, None),
+            ({"a": [["0/1", "1/2"]], "b": [["1/4", "1/1"]]},
+             "blocks must partition [0, 1) exactly"),
+        ],
+        ids=["unknown-first", "point-order", "parse-before-escape", "shape-before-escape",
+             "first-escape", "empty-pairs-dropped", "cross-point-overlap"],
+    )
+    def test_error_precedence(self, blocks, error):
+        if error is None:
+            assert rv_from_blocks_obj(TWO_POINTS, blocks).labels == (1,)
+        else:
+            with pytest.raises(PreconditionError) as got:
+                rv_from_blocks_obj(TWO_POINTS, blocks)
+            assert str(got.value) == error
+
+    def test_reading_builds_no_fraction(self, monkeypatch):
+        x = canonical_rv(gen.rand_measure(random.Random(9), TWO_POINTS))
+        doc = {**rv_to_obj(x), "weights": weights_to_obj(law(x))}
+
+        def no_fraction(*args):
+            raise AssertionError("the reader built a Fraction")
+
+        monkeypatch.setattr(serialize, "Fraction", no_fraction)
+        assert rv_from_obj(doc) == x
+        assert measure_from_obj(doc) == law(x)
 
 
 class TestRandomVariables:
@@ -226,16 +386,6 @@ class TestLifts:
         )
         rebuilt = lift_from_obj(lift_to_obj(lift))
         assert rebuilt == lift
-
-    def test_certificate_round_trip(self):
-        rng = random.Random(6)
-        space = gen.rand_space(rng, 3)
-        beta = gen.rand_polygonal(rng, space, 3)
-        lift = lift_polygonal(
-            beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
-        )
-        cert = verify_lift(lift, beta, grid_n=9)
-        assert certificate_from_obj(certificate_to_obj(cert)) == cert
 
 
 class TestDeterminism:

@@ -104,6 +104,23 @@ class TestMeasure:
             Measure(space, 4, (2, 2))
         assert Measure.reduced(space, 4, (2, 2)) == Measure(space, 2, (1, 1))
 
+    def test_reduced_keeps_a_wrong_total(self):
+        # dividing by the gcd of the weights alone would turn 3/7 + 3/7 into 1/2 + 1/2
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        with pytest.raises(PreconditionError, match="^weights must sum to 1 exactly$"):
+            Measure.reduced(space, 7, (3, 3))
+        with pytest.raises(PreconditionError, match="^weights must sum to 1 exactly$"):
+            Measure.reduced(space, 4, (4, 4))
+
+    @given(st.integers(1, 30), st.lists(st.integers(0, 30), min_size=2, max_size=2))
+    def test_reduced_is_valid_exactly_when_the_weights_sum_to_den(self, den, nums):
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        if sum(nums) == den:
+            assert Measure.reduced(space, den, nums).weights == tuple(F(w, den) for w in nums)
+        else:
+            with pytest.raises(PreconditionError, match="^weights must sum to 1 exactly$"):
+                Measure.reduced(space, den, nums)
+
     @given(space_with(n_measures=2), st.integers(1, 12))
     def test_equality_is_equality_of_weights(self, bundle, k):
         _, mu, nu = bundle
@@ -178,6 +195,13 @@ class TestCouplingMatrix:
         assert CouplingMatrix.reduced(space, 4, ((2, 0), (0, 2))) == CouplingMatrix(
             space, 2, ((1, 0), (0, 1))
         )
+
+    def test_reduced_keeps_a_wrong_total(self):
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        with pytest.raises(PreconditionError, match="^coupling total mass 6/7 != 1$"):
+            CouplingMatrix.reduced(space, 7, ((3, 0), (0, 3)))
+        with pytest.raises(PreconditionError, match="^coupling total mass 2 != 1$"):
+            CouplingMatrix.reduced(space, 3, ((3, 0), (0, 3)))
 
     def test_total_mass_checked(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
