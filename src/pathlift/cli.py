@@ -262,7 +262,8 @@ def cmd_selftest(args):
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process: parsing leaves no
-    state in it, and each build leaves its objects in reference cycles."""
+    state in it, and each build leaves its objects in reference cycles.
+    It holds no handlers: ``main`` runs ``cmd_<command>`` of this module."""
     parser = argparse.ArgumentParser(
         prog="pathlift",
         description=(
@@ -288,53 +289,44 @@ def build_parser():
     p.add_argument("mu")
     p.add_argument("nu")
     common(p)
-    p.set_defaults(func=cmd_prokhorov)
 
     p = sub.add_parser("kyfan", help="rho distance between two random variables")
     p.add_argument("x")
     p.add_argument("y")
     common(p)
-    p.set_defaults(func=cmd_kyfan)
 
     p = sub.add_parser("match", help="rearrange a variable to a target law")
     p.add_argument("x")
     p.add_argument("nu")
     common(p)
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("segment", help="lift the segment joining two variables")
     p.add_argument("x")
     p.add_argument("y")
     common(p, grid=True)
-    p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("lift", help="lift a measure path with prescribed endpoints")
     p.add_argument("path")
     p.add_argument("endpoints")
     common(p, tol=True, iters=True, grid=True)
-    p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("relift", help="relift a polygonal near an existing lifting")
     p.add_argument("lift")
     p.add_argument("path")
     common(p, tol=True, grid=True)
-    p.set_defaults(func=cmd_relift)
 
     p = sub.add_parser("verify", help="recompute the certificate of a lifting")
     p.add_argument("lift")
     p.add_argument("path")
     p.add_argument("--tol", default=None, help="allowed law gap, default exact")
     common(p, grid=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cube", help="lift a multi-affine corner interpolation")
     p.add_argument("corners")
     common(p, grid=True)
-    p.set_defaults(func=cmd_cube)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
     common(p, seed=True, out=False)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -344,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     token = SPACES_READ.set([])  # each distinct space document is read once per command
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call: a rebound cmd_* runs
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,12 @@ the interface: paths keep breakpoints as integer ticks over their lcm
 (ticks k <= t = p / r are the k <= p * den // r, ticks k < t the k <
 ceil(p * den / r)), and grids are tick sets, each point a Fraction once.
 
-Polygonal paths of measures are lifted segment by segment with
-prescribed endpoint variables; an arbitrary Lipschitz path of measures
+A polygonal path of measures and its lift have one shape: breakpoints
+0 = t_0 < ... < t_n = 1 and one vertex per breakpoint, a measure or a
+random variable, checked once for both; the lift derives its segment
+lifts X_k -> X_{k+1} on [t_k, t_{k+1}], so each vertex is stored once.
+Polygonals are lifted with prescribed endpoint variables, interior
+vertices chained by matching; an arbitrary Lipschitz path of measures
 is approximated by polygonals on uniform grids and lifted iteratively,
 each round staying rho-close to the previous one (the 5-epsilon
 rebuild), with a Certificate recording every verified quantity as an
@@ -57,24 +61,10 @@ def _time(t) -> Fraction:
     return t if type(t) is Fraction else Fraction(t)
 
 
-def _ticks(times: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """The times as integers over their lcm: (den, ticks), tick k meaning k / den."""
-    den = math.lcm(*(t.denominator for t in times))
-    return den, tuple(t.numerator * (den // t.denominator) for t in times)
-
-
 def _union(sources: Sequence[tuple[int, Sequence[int]]]) -> list[Fraction]:
     """The sorted union of the times of several (den, ticks), over their lcm."""
     den = math.lcm(*(d for d, _ in sources))
     return [Fraction(k, den) for k in sorted({k * (den // d) for d, ks in sources for k in ks})]
-
-
-def _segment_index(den: int, ints: Sequence[int], t) -> int:
-    """The piece of breakpoints ints / den that holds t in [0, 1] (the last holds 1)."""
-    t = _time(t)
-    if t.numerator < 0 or t.numerator > t.denominator:
-        raise PreconditionError(f"time {t} outside [0, 1]")
-    return min(bisect_right(ints, t.numerator * den // t.denominator), len(ints) - 1) - 1
 
 
 def transfer_blocks(
@@ -171,12 +161,13 @@ def segment_lift(
 
 
 @dataclass(frozen=True)
-class PolygonalPath:
-    """Piecewise-affine path of measures with prescribed vertices."""
+class _Polygonal:
+    """Breakpoints 0 = t_0 < ... < t_n = 1 with one vertex on space per
+    breakpoint: the shape shared by paths of measures and their lifts."""
 
     space: FiniteMetricSpace
     breakpoints: tuple[Fraction, ...]
-    vertices: tuple[Measure, ...]
+    vertices: tuple
 
     def __post_init__(self) -> None:
         bps = self.breakpoints
@@ -191,10 +182,24 @@ class PolygonalPath:
 
     @cached_property
     def ticks(self) -> tuple[int, tuple[int, ...]]:
-        return _ticks(self.breakpoints)
+        """The breakpoints as integers over their lcm: (den, ticks), tick k meaning k / den."""
+        den = math.lcm(*(t.denominator for t in self.breakpoints))
+        return den, tuple(t.numerator * (den // t.denominator) for t in self.breakpoints)
 
     def segment_index(self, t: Fraction) -> int:
-        return _segment_index(*self.ticks, t)
+        """The piece [t_i, t_{i+1}] that holds t in [0, 1] (the last holds 1)."""
+        t = _time(t)
+        if t.numerator < 0 or t.numerator > t.denominator:
+            raise PreconditionError(f"time {t} outside [0, 1]")
+        den, ticks = self.ticks
+        return min(bisect_right(ticks, t.numerator * den // t.denominator), len(ticks) - 1) - 1
+
+
+@dataclass(frozen=True)
+class PolygonalPath(_Polygonal):
+    """Piecewise-affine path of measures with prescribed vertices."""
+
+    vertices: tuple[Measure, ...]
 
     def eval(self, t: Fraction) -> Measure:
         t = _time(t)
@@ -279,41 +284,19 @@ MeasurePath = PolygonalPath | SampledPath
 
 
 @dataclass(frozen=True)
-class LiftedPath:
-    """Chain of segment lifts sharing their vertex variables."""
+class LiftedPath(_Polygonal):
+    """Polygonal path of random variables: vertex X_k at breakpoint t_k,
+    joined to X_{k+1} on [t_k, t_{k+1}] by their segment lift."""
 
-    segments: tuple[SegmentLift, ...]
-
-    def __post_init__(self) -> None:
-        segs = self.segments
-        if not segs:
-            raise PreconditionError("a lifted path needs at least one segment")
-        if segs[0].a != ZERO or segs[-1].b != ONE:
-            raise PreconditionError("lifted path must cover [0, 1]")
-        for left, right in zip(segs, segs[1:]):
-            if left.b != right.a:
-                raise PreconditionError("segments must tile [0, 1] contiguously")
-            if left.y != right.x:
-                raise PreconditionError("consecutive segments must share their vertex")
-
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return self.segments[0].space
+    vertices: tuple[SimpleRandomVariable, ...]
 
     @cached_property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return (self.segments[0].a,) + tuple(s.b for s in self.segments)
-
-    @cached_property
-    def ticks(self) -> tuple[int, tuple[int, ...]]:
-        return _ticks(self.breakpoints)
-
-    @cached_property
-    def vertices(self) -> tuple[SimpleRandomVariable, ...]:
-        return (self.segments[0].x,) + tuple(s.y for s in self.segments)
+    def segments(self) -> tuple[SegmentLift, ...]:
+        bps, xs = self.breakpoints, self.vertices
+        return tuple(SegmentLift(*ends) for ends in zip(bps, bps[1:], xs, xs[1:]))
 
     def eval(self, t: Fraction) -> SimpleRandomVariable:
-        return self.segments[_segment_index(*self.ticks, t)].eval(t)
+        return self.segments[self.segment_index(t)].eval(t)
 
     def law_path(self) -> PolygonalPath:
         """The exact polygonal of laws this path lifts."""
@@ -344,11 +327,7 @@ def lift_polygonal(
     for target in beta.vertices[1:-1]:
         variables.append(match_to_law(variables[-1], target))
     variables.append(x_end)
-    segments = tuple(
-        segment_lift(variables[i], variables[i + 1], beta.breakpoints[i], beta.breakpoints[i + 1])
-        for i in range(len(variables) - 1)
-    )
-    return LiftedPath(segments)
+    return LiftedPath(beta.space, beta.breakpoints, tuple(variables))
 
 
 def approximate_polygonal(alpha: SampledPath, eps: Fraction) -> PolygonalPath:
@@ -410,14 +389,11 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
         drift = max(drift, gap)
         variables.append(realize_coupling(snapshot, witness))
     variables.append(snapshots[-1])
-    segments = tuple(
-        segment_lift(variables[i], variables[i + 1], grid[i], grid[i + 1])
-        for i in range(len(variables) - 1)
-    )
-    for seg in segments:
+    relifted = LiftedPath(prev.space, tuple(grid), tuple(variables))
+    for seg in relifted.segments:
         mid = (seg.a + seg.b) / 2
         drift = max(drift, kyfan_rho(prev.eval(mid), seg.eval(mid)))
-    return LiftedPath(segments), drift
+    return relifted, drift
 
 
 def certification_grid(lift: LiftedPath) -> list[Fraction]:

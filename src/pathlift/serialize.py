@@ -231,12 +231,10 @@ def path_from_obj(obj: Any) -> PolygonalPath | SampledPath:
     raise PreconditionError(f'unknown path kind {kind!r}')
 
 
-def sampled_to_obj(alpha: SampledPath, backbone: PolygonalPath | None = None) -> dict:
-    backbone = backbone or alpha.backbone
+def sampled_to_obj(alpha: SampledPath) -> dict:
+    backbone = alpha.backbone
     if backbone is None:
-        raise PreconditionError(
-            "sampled path has no polygonal backbone; pass one explicitly"
-        )
+        raise PreconditionError("sampled path has no polygonal backbone")
     return {
         "space": space_to_obj(alpha.space),
         "kind": "sampled",
@@ -251,16 +249,14 @@ def sampled_to_obj(alpha: SampledPath, backbone: PolygonalPath | None = None) ->
 # -- lifted paths ------------------------------------------------------
 
 def lift_to_obj(lift: LiftedPath) -> dict:
+    """One segment per piece; each vertex's blocks are encoded once, as y
+    of the segment before it and x of the segment after it."""
+    ts = [frac_str(t) for t in lift.breakpoints]
+    xs = [blocks_to_obj(x) for x in lift.vertices]
     return {
         "space": space_to_obj(lift.space),
         "segments": [
-            {
-                "a": frac_str(seg.a),
-                "b": frac_str(seg.b),
-                "x": blocks_to_obj(seg.x),
-                "y": blocks_to_obj(seg.y),
-            }
-            for seg in lift.segments
+            {"a": a, "b": b, "x": x, "y": y} for a, b, x, y in zip(ts, ts[1:], xs, xs[1:])
         ],
     }
 
@@ -286,7 +282,17 @@ def lift_from_obj(obj: Any) -> LiftedPath:
                 rv_from_blocks_obj(space, seg["y"]),
             )
         )
-    return LiftedPath(tuple(segments))
+    if not segments:
+        raise PreconditionError("a lifted path needs at least one segment")
+    if segments[0].a != 0 or segments[-1].b != 1:
+        raise PreconditionError("lifted path must cover [0, 1]")
+    for left, right in zip(segments, segments[1:]):
+        if left.b != right.a:
+            raise PreconditionError("segments must tile [0, 1] contiguously")
+        if left.y != right.x:
+            raise PreconditionError("consecutive segments must share their vertex")
+    breakpoints = (segments[0].a, *(seg.b for seg in segments))
+    return LiftedPath(space, breakpoints, (segments[0].x, *(seg.y for seg in segments)))
 
 
 # -- certificates ------------------------------------------------------

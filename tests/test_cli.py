@@ -292,6 +292,22 @@ class TestParserOnce:
         assert build_parser.cache_info().misses == 1
         assert build_parser.cache_info().hits == 1
 
+    def test_a_handler_rebound_after_the_build_runs(self, tmp_path, capsys, monkeypatch):
+        space = validate_space(["a", "b"], [[Z, F(1, 2)], [F(1, 2), Z]])
+        x = canonical_rv(dirac(space, "a"))
+        xf = write(tmp_path / "x.json", {"space": space_to_obj(space), "blocks": blocks_to_obj(x)})
+        build_parser()
+        original, calls = cli.cmd_kyfan, []
+
+        def recording(args):
+            calls.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_kyfan", recording)
+        assert main(["kyfan", xf, xf]) == 0
+        assert calls == ["kyfan"]
+        assert json.loads(capsys.readouterr().out)["rho"] == "0/1"
+
 
 class TestSpaceReadOncePerCommand:
     """Within one command, JSON-equal space documents give one validated space."""
@@ -498,7 +514,7 @@ def valid_documents():
         "x": {"space": sp, "blocks": blocks_to_obj(x)},
         "y": {"space": sp, "blocks": blocks_to_obj(y)},
         "path": polygonal_to_obj(beta),
-        "sampled": sampled_to_obj(SampledPath.from_polygonal(beta), beta),
+        "sampled": sampled_to_obj(SampledPath.from_polygonal(beta)),
         "ends": {"space": sp, "start": blocks_to_obj(x), "end": blocks_to_obj(y)},
         "lift": lift_to_obj(lift_polygonal(beta, x, y)),
         "corners": {"space": sp, "corners": [weights_to_obj(v) for v in beta.vertices]},

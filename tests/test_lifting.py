@@ -17,6 +17,7 @@ from helpers import (
     verify_grid_oracle,
 )
 from pathlift import (
+    LiftedPath,
     Measure,
     PolygonalPath,
     PreconditionError,
@@ -45,6 +46,36 @@ Z = F(0)
 
 def two_point_space(distance=F(1)):
     return validate_space(["a", "b"], [[Z, distance], [distance, Z]])
+
+
+class TestPathValidation:
+    """PolygonalPath and LiftedPath share one check of their breakpoints and vertices."""
+
+    @pytest.mark.parametrize("kind", [PolygonalPath, LiftedPath], ids=["polygonal", "lifted"])
+    @pytest.mark.parametrize(
+        "breakpoints, distances, error",
+        [
+            ((Z,), (1,), "breakpoints must run from 0 to 1"),
+            ((F(1, 4), F(1)), (1, 1), "breakpoints must run from 0 to 1"),
+            ((Z, F(3, 4)), (1, 1), "breakpoints must run from 0 to 1"),
+            ((Z, F(1, 2), F(1, 2), F(1)), (1, 1, 1, 1), "breakpoints must be strictly increasing"),
+            ((Z, F(3, 4), F(1, 2), F(1)), (1, 1, 1, 1), "breakpoints must be strictly increasing"),
+            ((Z, F(1, 2), F(1)), (1, 1), "one vertex measure per breakpoint required"),
+            ((Z, F(1)), (1, 1, 1), "one vertex measure per breakpoint required"),
+            ((Z, F(1)), (1, F(1, 2)), "operands live on different metric spaces"),
+        ],
+        ids=["one-breakpoint", "late-start", "early-end", "repeated", "decreasing",
+             "too-few-vertices", "too-many-vertices", "vertex-on-another-space"],
+    )
+    def test_rejects(self, kind, breakpoints, distances, error):
+        """One vertex per entry of distances, on the two-point space at that distance."""
+        def vertex(distance):
+            mu = dirac(two_point_space(F(distance)), "a")
+            return mu if kind is PolygonalPath else canonical_rv(mu)
+
+        with pytest.raises(PreconditionError) as got:
+            kind(two_point_space(), breakpoints, tuple(vertex(d) for d in distances))
+        assert str(got.value) == error
 
 
 class TestPolygonalEval:

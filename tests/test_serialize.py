@@ -15,10 +15,12 @@ from helpers import (
     weights_from_obj_oracle,
 )
 from pathlift import (
+    Measure,
     PolygonalPath,
     PreconditionError,
     SampledPath,
     canonical_rv,
+    dirac,
     law,
     lift_polygonal,
     validate_space,
@@ -362,12 +364,18 @@ class TestPaths:
         space = gen.rand_space(rng, 3)
         beta = gen.rand_polygonal(rng, space, 3)
         alpha = SampledPath.from_polygonal(beta)
-        rebuilt = path_from_obj(sampled_to_obj(alpha, beta))
+        rebuilt = path_from_obj(sampled_to_obj(alpha))
         assert isinstance(rebuilt, SampledPath)
         assert rebuilt.lipschitz == alpha.lipschitz
         for k in range(9):
             t = F(k, 8)
             assert rebuilt.eval(t) == alpha.eval(t)
+
+    def test_sampled_path_needs_a_backbone_to_be_written(self):
+        beta = gen.rand_polygonal(random.Random(3), TWO_POINTS, 3)
+        with pytest.raises(PreconditionError) as got:
+            sampled_to_obj(SampledPath(TWO_POINTS, beta.eval, F(9)))
+        assert str(got.value) == "sampled path has no polygonal backbone"
 
     def test_unknown_kind(self):
         rng = random.Random(4)
@@ -386,6 +394,52 @@ class TestLifts:
         )
         rebuilt = lift_from_obj(lift_to_obj(lift))
         assert rebuilt == lift
+
+    # x_0 = dirac a; an edit (k, key, value) sets segments[k][key], DROP deletes it
+    DROP = object()
+    DIRAC_A = {"a": [["0/1", "1/1"]]}
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            (None, "a lifted path needs at least one segment"),
+            ([(0, "a", "1/8")], "lifted path must cover [0, 1]"),
+            ([(2, "b", "3/4")], "lifted path must cover [0, 1]"),
+            ([(1, "a", "3/8")], "segments must tile [0, 1] contiguously"),
+            ([(0, "y", DIRAC_A)], "consecutive segments must share their vertex"),
+            ([(0, "a", "1/8"), (1, "a", "3/8")], "lifted path must cover [0, 1]"),
+            ([(0, "y", DIRAC_A), (2, "a", "5/8")], "consecutive segments must share their vertex"),
+            ([(1, "a", "3/8"), (2, "x", DIRAC_A)], "segments must tile [0, 1] contiguously"),
+            ([(1, "a", "3/8"), (1, "x", DIRAC_A)], "segments must tile [0, 1] contiguously"),
+            ([(1, "a", "1/2")], "empty segment [1/2, 1/2]"),
+            ([(0, "a", "1/8"), (2, "a", "1/1")], "empty segment [1, 1]"),
+            ([(0, "a", "1/2"), (1, "x", DROP)], "empty segment [1/2, 1/4]"),
+            ([(0, "y", DROP), (1, "a", "1/2")], 'segments[0] has no "y"'),
+            ([(0, "a", "1/2"), (0, "y", {"zz": []})], "blocks name unknown points ['zz']"),
+        ],
+        ids=["no-segments", "first-a", "last-b", "gap", "vertex", "cover-before-gap",
+             "vertex-before-later-gap", "gap-before-later-vertex", "gap-before-vertex",
+             "empty-before-gap", "empty-before-cover", "empty-before-later-shape",
+             "shape-before-later-empty", "blocks-before-empty"],
+    )
+    def test_reader_error_precedence(self, edits, error):
+        """Per segment its shape, then its blocks, then a < b; then the
+        path: at least one segment, the cover, and for each consecutive
+        pair contiguity before the shared vertex."""
+        a, b = dirac(TWO_POINTS, "a"), dirac(TWO_POINTS, "b")
+        half = Measure.from_weights(TWO_POINTS, (F(1, 2), F(1, 2)))
+        beta = PolygonalPath(TWO_POINTS, (Z, F(1, 4), F(1, 2), F(1)), (a, half, b, half))
+        doc = lift_to_obj(lift_polygonal(beta, canonical_rv(a), canonical_rv(half)))
+        assert lift_from_obj(doc).law_path() == beta
+        segments = [dict(seg) for seg in doc["segments"]]
+        for k, key, value in edits or ():
+            if value is self.DROP:
+                del segments[k][key]
+            else:
+                segments[k][key] = value
+        with pytest.raises(PreconditionError) as got:
+            lift_from_obj({**doc, "segments": segments if edits else []})
+        assert str(got.value) == error
 
 
 class TestDeterminism:
