@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from pathlift import canonical_rv, law, lift_path, match_to_law
+from pathlift import PreconditionError, canonical_rv, law, lift_path, match_to_law
 from pathlift import gen
 from pathlift.serialize import (
     blocks_to_obj,
@@ -23,6 +23,7 @@ from pathlift.serialize import (
     frac_str,
     lift_to_obj,
     measure_to_obj,
+    parse_frac,
     sampled_to_obj,
     space_to_obj,
 )
@@ -37,6 +38,14 @@ def main():
     parser.add_argument("--tol", default="1/25")
     parser.add_argument("--iters", type=int, default=3)
     args = parser.parse_args()
+    try:
+        tol = parse_frac(args.tol)
+    except PreconditionError as exc:
+        parser.error(f"--tol: {exc}")
+    if tol <= 0:
+        parser.error(f"--tol: tolerance must be positive, got {args.tol!r}")
+    if args.iters < 1:
+        parser.error("--iters: at least one iteration is required")
 
     rng = random.Random(args.seed)
     space = gen.rand_space(rng, 3)
@@ -57,7 +66,6 @@ def main():
         )
     )
 
-    tol = F(args.tol.split("/")[0]) / F(args.tol.split("/")[1])
     lift, cert = lift_path(alpha, x_start, x_end, tol, args.iters, grid_n=65)
     (out / "lift.json").write_text(
         dumps({"lift": lift_to_obj(lift), "certificate": certificate_to_obj(cert)})

@@ -21,7 +21,6 @@ from .lifting import (
     lift_path,
     lift_polygonal,
     relift_near,
-    segment_lift,
     verify_lift,
 )
 from .prokhorov import (
@@ -79,7 +78,6 @@ __all__ = [
     "prokhorov_subsets",
     "realize_coupling",
     "relift_near",
-    "segment_lift",
     "validate_space",
     "verify_lift",
 ]

@@ -136,16 +136,24 @@ def cmd_match(args):
     return 0
 
 
+def _lift_exactly(beta, x_start, x_end, grid_n):
+    """Lift a polygonal with both endpoint variables prescribed, verified:
+    (lift, certificate, whether the lift is exact)."""
+    lift = lift_polygonal(beta, x_start, x_end)
+    cert = verify_lift(lift, beta, grid_n=grid_n, endpoints=(x_start, x_end))
+    return lift, cert, cert.max_law_gap == ZERO and all(cert.endpoint_ok)
+
+
+def _emit_lift(lift, cert, ok, out_path):
+    _emit({"lift": lift_to_obj(lift), "certificate": certificate_to_obj(cert)}, out_path)
+    return 0 if ok else 3
+
+
 def cmd_segment(args):
     x = _load_rv_file(args.x)
     y = _load_rv_file(args.y)
     beta = PolygonalPath(x.space, (ZERO, ONE), (law(x), law(y)))
-    lift = lift_polygonal(beta, x, y)
-    cert = verify_lift(lift, beta, grid_n=_grid(args), endpoints=(x, y))
-    doc = {"lift": lift_to_obj(lift), "certificate": certificate_to_obj(cert)}
-    _emit(doc, args.out)
-    ok = cert.max_law_gap == ZERO and all(cert.endpoint_ok)
-    return 0 if ok else 3
+    return _emit_lift(*_lift_exactly(beta, x, y, _grid(args)), args.out)
 
 
 def cmd_lift(args):
@@ -153,23 +161,16 @@ def cmd_lift(args):
     x_start, x_end = _load_endpoints(args.endpoints)
     grid_n = _grid(args)
     if isinstance(target, PolygonalPath):
-        lift = lift_polygonal(target, x_start, x_end)
-        cert = verify_lift(lift, target, grid_n=grid_n, endpoints=(x_start, x_end))
-        ok = cert.max_law_gap == ZERO and all(cert.endpoint_ok)
-    else:
-        tol = parse_frac(args.tol)
-        lift, cert = lift_path(
-            target, x_start, x_end, tol, args.iters, grid_n=grid_n
-        )
-        _, budgets = decay_budgets(tol, args.iters)
-        ok = (
-            cert.max_law_gap <= tol
-            and all(cert.endpoint_ok)
-            and all(d <= b for d, b in zip(cert.decay_table, budgets))
-        )
-    doc = {"lift": lift_to_obj(lift), "certificate": certificate_to_obj(cert)}
-    _emit(doc, args.out)
-    return 0 if ok else 3
+        return _emit_lift(*_lift_exactly(target, x_start, x_end, grid_n), args.out)
+    tol = parse_frac(args.tol)
+    lift, cert = lift_path(target, x_start, x_end, tol, args.iters, grid_n=grid_n)
+    _, budgets = decay_budgets(tol, args.iters)
+    ok = (
+        cert.max_law_gap <= tol
+        and all(cert.endpoint_ok)
+        and all(d <= b for d, b in zip(cert.decay_table, budgets))
+    )
+    return _emit_lift(lift, cert, ok, args.out)
 
 
 def cmd_relift(args):
@@ -179,16 +180,9 @@ def cmd_relift(args):
         raise PreconditionError("relift expects a polygonal target path")
     eps = parse_frac(args.tol)
     relifted, drift = relift_near(prev, target, eps)
-    cert = verify_lift(
-        relifted,
-        target,
-        grid_n=_grid(args),
-        decay_table=(drift,),
-    )
-    doc = {"lift": lift_to_obj(relifted), "certificate": certificate_to_obj(cert)}
-    _emit(doc, args.out)
+    cert = verify_lift(relifted, target, grid_n=_grid(args), decay_table=(drift,))
     ok = cert.max_law_gap == ZERO and all(cert.endpoint_ok) and drift <= 5 * eps
-    return 0 if ok else 3
+    return _emit_lift(relifted, cert, ok, args.out)
 
 
 def cmd_verify(args):

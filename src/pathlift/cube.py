@@ -5,7 +5,7 @@ With corner measures m_1, ..., m_{K}, the interpolation over the
 coordinate in turn.  The lifting mirrors this with iterated segment
 lifts: starting from the canonical variable of the first corner, each
 coordinate t moves the current level variable toward the canonical
-variable of the next corner by the segment lift over [0, 1] at time t.
+variable of the next corner by the segment lift at time t.
 The pointwise law equals the interpolation exactly at every rational
 point.
 """
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import PreconditionError
-from .lifting import SegmentLift, segment_lift
+from .lifting import SegmentLift
 from .omega import ONE, ZERO
 from .randomvars import SimpleRandomVariable, canonical_rv
 from .spaces import FiniteMetricSpace, Measure, mixture, same_space
@@ -76,12 +76,12 @@ class CubeLift:
     @cached_property
     def first_segment(self) -> SegmentLift:
         """The first-axis lift, from corner 0 to corner 1; shared by all points."""
-        return segment_lift(self.corner_rvs[0], self.corner_rvs[1], ZERO, ONE)
+        return SegmentLift(self.corner_rvs[0], self.corner_rvs[1])
 
     def eval(self, ts) -> SimpleRandomVariable:
         """Lifting twin of g_eval: one segment lift per coordinate."""
         ts = _check_point(self.interp, ts)
         value = self.first_segment.eval(ts[0])
         for t, corner in zip(ts[1:], self.corner_rvs[2:]):
-            value = segment_lift(value, corner, ZERO, ONE).eval(t)
+            value = SegmentLift(value, corner).eval(t)
         return value

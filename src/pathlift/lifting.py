@@ -1,37 +1,36 @@
 """Lifting paths of measures to paths of random variables.
 
-A segment lift joins two simple random variables by moving, inside each
-cell A_i & B_j of their joint partition, a linearly growing leftmost
-part from value a_i to value a_j.  Its pointwise law is exactly the
-affine mixture of the endpoint laws, it reproduces the endpoints
-exactly, and it contracts rho at rate 1 / (segment length).  The lift
+A segment lift is the [0, 1] twin of ``mixture``: it joins two simple
+random variables by moving, inside each cell A_i & B_j of their joint
+partition, a linearly growing leftmost part from value a_i to value a_j.
+Its law at s is exactly the mixture of the endpoint laws at s, it takes
+the endpoints exactly at 0 and 1, and it contracts rho at rate 1.  It
 caches the common refinement of its endpoint slabs as (right, i, j)
-pieces over one denominator plus the cell masses; an evaluation at
-local time s = p / q, one reduced integer pair, is one walk over the
-pieces on integers over den * q, with a "mass still to move" counter
-per cell, merging equal neighbours.  rho between two times of one
-segment is the Ky Fan sweep of cached per-level tail masses scaled by
-the time difference, with no evaluation.  Times are Fractions only at
-the interface: paths keep breakpoints as integer ticks over their lcm
-(ticks k <= t = p / r are the k <= p * den // r, ticks k < t the k <
-ceil(p * den / r)), and grids are tick sets, each point a Fraction once.
+pieces over one denominator plus the cell masses; an evaluation at local
+time s = p / q, one reduced integer pair, is one walk over the pieces on
+integers over den * q, with a "mass still to move" counter per cell,
+merging equal neighbours.  rho between two local times is the Ky Fan
+sweep of cached per-level tail masses scaled by their distance.
 
 A polygonal path of measures and its lift have one shape: breakpoints
 0 = t_0 < ... < t_n = 1 and one vertex per breakpoint, a measure or a
-random variable, checked once for both; the lift derives its segment
-lifts X_k -> X_{k+1} on [t_k, t_{k+1}], so each vertex is stored once.
-Polygonals are lifted with prescribed endpoint variables, interior
-vertices chained by matching; an arbitrary Lipschitz path of measures
-is approximated by polygonals on uniform grids and lifted iteratively,
-each round staying rho-close to the previous one (the 5-epsilon
-rebuild), with a Certificate recording every verified quantity as an
-exact rational.
+random variable, checked once for both.  Paths own time, as integer
+ticks over the lcm of their breakpoints: one rule maps t = p / r to its
+piece (the last tick k <= p * den // r) and its local time there, which
+the measure path hands to ``mixture`` and the lift to the segment lift
+X_k -> X_{k+1} of that piece.  Grids are tick sets, each point a
+Fraction once.  Polygonals are lifted with prescribed endpoint
+variables, interior vertices chained by matching; an arbitrary Lipschitz
+path of measures is approximated by polygonals on uniform grids and
+lifted iteratively, each round staying rho-close to the previous one
+(the 5-epsilon rebuild), with a Certificate recording every verified
+quantity as an exact rational.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,10 +60,14 @@ def _time(t) -> Fraction:
     return t if type(t) is Fraction else Fraction(t)
 
 
-def _union(sources: Sequence[tuple[int, Sequence[int]]]) -> list[Fraction]:
-    """The sorted union of the times of several (den, ticks), over their lcm."""
+def _union(sources: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[int]]:
+    """The sorted union of the ticks of several (den, ticks), over their lcm."""
     den = math.lcm(*(d for d, _ in sources))
-    return [Fraction(k, den) for k in sorted({k * (den // d) for d, ks in sources for k in ks})]
+    return den, sorted({k * (den // d) for d, ks in sources for k in ks})
+
+
+def _times(den: int, ticks: Sequence[int]) -> list[Fraction]:
+    return [Fraction(k, den) for k in ticks]
 
 
 def transfer_blocks(
@@ -101,18 +104,23 @@ def transfer_blocks(
     return SimpleRandomVariable.from_slabs(space, den * q, slabs)
 
 
+def _unit(s) -> tuple[int, int]:
+    """A local time s in [0, 1] as its reduced integer pair (num, q)."""
+    num, q = _time(s).as_integer_ratio()
+    if num < 0 or num > q:
+        raise PreconditionError(f"time {Fraction(num, q)} outside [0, 1]")
+    return num, q
+
+
 @dataclass(frozen=True)
 class SegmentLift:
-    """Exact path of random variables joining x at time a to y at time b."""
+    """Exact path of random variables on [0, 1] from x at 0 to y at 1, the
+    twin of ``mixture``: its law at s is the mixture of the end laws at s."""
 
-    a: Fraction
-    b: Fraction
     x: SimpleRandomVariable
     y: SimpleRandomVariable
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise PreconditionError(f"empty segment [{self.a}, {self.b}]")
         same_space(self.x.space, self.y.space)
 
     @cached_property
@@ -132,32 +140,18 @@ class SegmentLift:
     def space(self) -> FiniteMetricSpace:
         return self.x.space
 
-    def _local(self, t: Fraction) -> tuple[int, int]:
-        """(t - a) / (b - a) as (num, q) in lowest terms; a <= t <= b iff 0 <= num <= q."""
-        t, a, b = _time(t), self.a, self.b
-        num = (t.numerator * a.denominator - a.numerator * t.denominator) * b.denominator
-        q = (b.numerator * a.denominator - a.numerator * b.denominator) * t.denominator
-        if num < 0 or num > q:
-            raise PreconditionError(f"time {t} outside [{self.a}, {self.b}]")
-        g = math.gcd(num, q)
-        return num // g, q // g
-
-    def eval(self, t: Fraction) -> SimpleRandomVariable:
-        return transfer_blocks(self.space, *self.refinement, self.masses, *self._local(t))
+    def eval(self, s: Fraction) -> SimpleRandomVariable:
+        return transfer_blocks(self.space, *self.refinement, self.masses, *_unit(s))
 
     def rho_between(self, s: Fraction, t: Fraction) -> Fraction:
-        """rho(eval(s), eval(t)), exact and nondecreasing in |s - t|: cell (i, j)
-        moves r = |s - t| / (b - a) of its mass from i to j in between, so
-        the joint law is r * masses off the diagonal; no evaluation."""
-        (nt, qt), (ns, qs) = self._local(t), self._local(s)
-        tails = [abs(nt * qs - ns * qt) * w for w in self.tails]
-        return _kyfan_from_tails(self.space, tails, self.refinement[0] * qs * qt)
+        """rho(eval(s), eval(t)), exact and nondecreasing in |s - t|."""
+        (nt, qt), (ns, qs) = _unit(t), _unit(s)
+        return self.rho_apart(abs(nt * qs - ns * qt), qs * qt)
 
-
-def segment_lift(
-    x: SimpleRandomVariable, y: SimpleRandomVariable, a: Fraction, b: Fraction
-) -> SegmentLift:
-    return SegmentLift(_time(a), _time(b), x, y)
+    def rho_apart(self, num: int, q: int) -> Fraction:
+        """rho between any two times num / q apart, with no evaluation: cell
+        (i, j) moves num / q of its mass from i to j in between."""
+        return _kyfan_from_tails(self.space, [num * w for w in self.tails], self.refinement[0] * q)
 
 
 @dataclass(frozen=True)
@@ -186,13 +180,15 @@ class _Polygonal:
         den = math.lcm(*(t.denominator for t in self.breakpoints))
         return den, tuple(t.numerator * (den // t.denominator) for t in self.breakpoints)
 
-    def segment_index(self, t: Fraction) -> int:
-        """The piece [t_i, t_{i+1}] that holds t in [0, 1] (the last holds 1)."""
-        t = _time(t)
-        if t.numerator < 0 or t.numerator > t.denominator:
-            raise PreconditionError(f"time {t} outside [0, 1]")
+    def locate(self, t: Fraction) -> tuple[int, Fraction]:
+        """The piece [t_i, t_{i+1}] that holds t in [0, 1] (the last holds 1),
+        and t's local time (t - t_i) / (t_{i+1} - t_i) in it: (i, local time)."""
+        p, r = _time(t).as_integer_ratio()
+        if p < 0 or p > r:
+            raise PreconditionError(f"time {Fraction(p, r)} outside [0, 1]")
         den, ticks = self.ticks
-        return min(bisect_right(ticks, t.numerator * den // t.denominator), len(ticks) - 1) - 1
+        i = min(bisect_right(ticks, p * den // r), len(ticks) - 1) - 1
+        return i, Fraction(p * den - ticks[i] * r, (ticks[i + 1] - ticks[i]) * r)
 
 
 @dataclass(frozen=True)
@@ -202,11 +198,7 @@ class PolygonalPath(_Polygonal):
     vertices: tuple[Measure, ...]
 
     def eval(self, t: Fraction) -> Measure:
-        t = _time(t)
-        i = self.segment_index(t)
-        den, ticks = self.ticks
-        lo, hi = ticks[i], ticks[i + 1]
-        s = Fraction(t.numerator * den - lo * t.denominator, (hi - lo) * t.denominator)
+        i, s = self.locate(t)
         return mixture(self.vertices[i], self.vertices[i + 1], s)
 
 
@@ -292,11 +284,12 @@ class LiftedPath(_Polygonal):
 
     @cached_property
     def segments(self) -> tuple[SegmentLift, ...]:
-        bps, xs = self.breakpoints, self.vertices
-        return tuple(SegmentLift(*ends) for ends in zip(bps, bps[1:], xs, xs[1:]))
+        """The segment lift X_k -> X_{k+1} of each piece, on local time."""
+        return tuple(map(SegmentLift, self.vertices, self.vertices[1:]))
 
     def eval(self, t: Fraction) -> SimpleRandomVariable:
-        return self.segments[self.segment_index(t)].eval(t)
+        i, s = self.locate(t)
+        return self.segments[i].eval(s)
 
     def law_path(self) -> PolygonalPath:
         """The exact polygonal of laws this path lifts."""
@@ -352,7 +345,7 @@ def _refined_grid(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> list[
     parts = math.floor(1 / eps) + 1 if eps > ZERO else 1
     den, ticks = prev.ticks
     fine = [k for lo, hi in zip(ticks, ticks[1:]) for k in range(lo * parts, hi * parts, hi - lo)]
-    return _union([(den * parts, fine), beta.ticks])  # beta's ticks hold 1
+    return _times(*_union([(den * parts, fine), beta.ticks]))  # beta's ticks hold 1
 
 
 def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[LiftedPath, Fraction]:
@@ -390,16 +383,16 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
         variables.append(realize_coupling(snapshot, witness))
     variables.append(snapshots[-1])
     relifted = LiftedPath(prev.space, tuple(grid), tuple(variables))
-    for seg in relifted.segments:
-        mid = (seg.a + seg.b) / 2
-        drift = max(drift, kyfan_rho(prev.eval(mid), seg.eval(mid)))
+    for seg, lo, hi in zip(relifted.segments, grid, grid[1:]):
+        drift = max(drift, kyfan_rho(prev.eval((lo + hi) / 2), seg.eval(Fraction(1, 2))))
     return relifted, drift
 
 
 def certification_grid(lift: LiftedPath) -> list[Fraction]:
     """Breakpoints plus piece midpoints; where certified sups are taken."""
     den, ticks = lift.ticks
-    return _union([(den, ticks), (2 * den, [lo + hi for lo, hi in zip(ticks, ticks[1:])])])
+    mids = [lo + hi for lo, hi in zip(ticks, ticks[1:])]
+    return _times(*_union([(den, ticks), (2 * den, mids)]))
 
 
 def sup_rho_on_grid(
@@ -441,9 +434,10 @@ def verify_lift(
 
     The grid is grid_n uniform points joined with every breakpoint of
     the lift (and of the target when polygonal), so consecutive grid
-    points lie in one segment and each continuity entry is its
-    rho_between: nondecreasing in |s - t|, so it bounds rho between any
-    two times of its grid interval.  Laws and endpoints are evaluated.
+    points lie in one piece and each continuity entry is rho between
+    their local times in its segment lift: nondecreasing in their
+    distance, so it bounds rho between any two times of its grid
+    interval.  Laws and endpoints are evaluated.
 
     With ``endpoints`` given, endpoint_ok compares the lift's endpoint
     variables to the prescribed ones exactly; otherwise it compares
@@ -454,16 +448,19 @@ def verify_lift(
     sources = [(grid_n - 1, range(grid_n)), lift.ticks]
     if isinstance(target, PolygonalPath):
         sources.append(target.ticks)
-    grid = _union(sources)
+    den, ks = _union(sources)
+    grid = _times(den, ks)
     values = [lift.eval(t) for t in grid]
     laws = [law(v) for v in values]
     gaps = [prokhorov(lw, target.eval(t)) for t, lw in zip(grid, laws)]
-    # each grid interval lies in the segment after the last tick k < its right end
-    den, ticks = lift.ticks
-    ends = (bisect_left(ticks, -(-t.numerator * den // t.denominator)) for t in grid[1:])
-    continuity = tuple(
-        lift.segments[i - 1].rho_between(s, t) for i, s, t in zip(ends, grid, grid[1:])
-    )
+    # the grid holds every breakpoint: an interval lies in the piece i whose
+    # right end is the first at or after its own, its two local times
+    # (hi - lo) / (piece length) apart
+    ends = [k * (den // lift.ticks[0]) for k in lift.ticks[1]]
+    continuity, i = [], 0
+    for lo, hi in zip(ks, ks[1:]):
+        i += hi > ends[i + 1]
+        continuity.append(lift.segments[i].rho_apart(hi - lo, ends[i + 1] - ends[i]))
     if endpoints is not None:
         endpoint_ok = (values[0] == endpoints[0], values[-1] == endpoints[1])
     else:
@@ -471,7 +468,7 @@ def verify_lift(
     return Certificate(
         grid=tuple(grid),
         max_law_gap=max(gaps),
-        continuity_table=continuity,
+        continuity_table=tuple(continuity),
         endpoint_ok=endpoint_ok,
         decay_table=decay_table,
     )

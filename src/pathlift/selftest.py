@@ -20,10 +20,10 @@ from . import gen
 from .cube import CubeInterpolation, CubeLift, g_eval
 from .lifting import (
     PolygonalPath,
+    SegmentLift,
     certification_grid,
     lift_polygonal,
     relift_near,
-    segment_lift,
     sup_rho_on_grid,
     verify_lift,
 )
@@ -131,41 +131,42 @@ def _kyfan_scan_oracle(rng) -> bool:
 
 
 def _rand_segment(rng):
-    """A segment lift on a random [a, b] inside [0, 11/8], with its ends."""
+    """The segment lift on a random [a, b] inside [0, 11/8], with its ends."""
     space = gen.rand_space(rng, rng.randint(2, 4))
     x = gen.rand_rv(rng, space)
     y = gen.rand_rv(rng, space)
     a = Fraction(rng.randint(0, 3), 8)
     b = a + Fraction(rng.randint(1, 4), 4)
-    return segment_lift(x, y, a, b), x, y, a, b
+    seg = SegmentLift(x, y)
+    return (lambda t: seg.eval((t - a) / (b - a))), x, y, a, b
 
 
 def _segment_law_mixture(rng) -> bool:
     """Criterion 3: the segment lift has the prescribed ends and its law
     at every time is the affine mixture of the end laws."""
-    seg, x, y, a, b = _rand_segment(rng)
-    good = seg.eval(a) == x and seg.eval(b) == y
+    at, x, y, a, b = _rand_segment(rng)
+    good = at(a) == x and at(b) == y
     for _ in range(10):
         s = gen.rand_fraction(rng, 16)
-        good &= law(seg.eval(a + (b - a) * s)) == mixture(law(x), law(y), s)
+        good &= law(at(a + (b - a) * s)) == mixture(law(x), law(y), s)
     return good
 
 
 def _segment_regularity(rng) -> bool:
     """Criterion 4: rho along a segment is (b - a)^-1-Lipschitz, and no
     time is farther from the left end than the right end is."""
-    seg, x, y, a, b = _rand_segment(rng)
+    at, x, y, a, b = _rand_segment(rng)
     s, t, u = (a + (b - a) * gen.rand_fraction(rng) for _ in range(3))
     s, t = min(s, t), max(s, t)
     return (
-        kyfan_rho(seg.eval(s), seg.eval(t)) <= (t - s) / (b - a)
-        and kyfan_rho(x, seg.eval(u)) <= kyfan_rho(x, y)
+        kyfan_rho(at(s), at(t)) <= (t - s) / (b - a)
+        and kyfan_rho(x, at(u)) <= kyfan_rho(x, y)
     )
 
 
 def _segment_rho_closed_form(rng) -> bool:
     space = gen.rand_space(rng, rng.randint(2, 4))
-    seg = segment_lift(gen.rand_rv(rng, space), gen.rand_rv(rng, space), ZERO, ONE)
+    seg = SegmentLift(gen.rand_rv(rng, space), gen.rand_rv(rng, space))
     s, t, u = sorted(gen.rand_fraction(rng) for _ in range(3))
     return (
         seg.rho_between(u, s) == kyfan_rho(seg.eval(s), seg.eval(u))

@@ -21,11 +21,11 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import PreconditionError
-from .lifting import Certificate, LiftedPath, PolygonalPath, SampledPath, SegmentLift
+from .lifting import Certificate, LiftedPath, PolygonalPath, SampledPath
 from .randomvars import SimpleRandomVariable
 from .spaces import FiniteMetricSpace, Measure
 
-_FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def frac_str(x: Fraction) -> str:
@@ -40,7 +40,7 @@ def ratio_str(num: int, den: int) -> str:
 
 def _ratio(text: Any) -> tuple[int, int]:
     """The integers p and q > 0 of a "p/q" string, as written."""
-    if not isinstance(text, str) or not (match := _FRACTION_RE.match(text)):
+    if not isinstance(text, str) or not (match := _FRACTION_RE.fullmatch(text)):
         raise PreconditionError(f'rational expected as "p/q" string, got {text!r}')
     num, den = int(match[1]), int(match[2])
     if den == 0:
@@ -267,32 +267,31 @@ def lift_from_obj(obj: Any) -> LiftedPath:
     space = space_from_obj(obj["space"])
     if not isinstance(obj["segments"], list):
         raise PreconditionError("segments must be a list")
-    segments = []
-    for k, seg in enumerate(obj["segments"]):
+    docs, segments = obj["segments"], []  # segments as (a, b, x, y)
+    for k, seg in enumerate(docs):
         if not isinstance(seg, dict):
             raise PreconditionError(f"segments[{k}] must be an object")
         for key in ("a", "b", "x", "y"):
             if key not in seg:
                 raise PreconditionError(f'segments[{k}] has no "{key}"')
-        segments.append(
-            SegmentLift(
-                parse_frac(seg["a"]),
-                parse_frac(seg["b"]),
-                rv_from_blocks_obj(space, seg["x"]),
-                rv_from_blocks_obj(space, seg["y"]),
-            )
-        )
+        a, b = parse_frac(seg["a"]), parse_frac(seg["b"])
+        shared = k and seg["x"] == docs[k - 1]["y"]  # JSON-equal blocks parse alike
+        x = segments[-1][3] if shared else rv_from_blocks_obj(space, seg["x"])
+        y = rv_from_blocks_obj(space, seg["y"])
+        if not a < b:
+            raise PreconditionError(f"empty segment [{a}, {b}]")
+        segments.append((a, b, x, y))
     if not segments:
         raise PreconditionError("a lifted path needs at least one segment")
-    if segments[0].a != 0 or segments[-1].b != 1:
+    if segments[0][0] != 0 or segments[-1][1] != 1:
         raise PreconditionError("lifted path must cover [0, 1]")
-    for left, right in zip(segments, segments[1:]):
-        if left.b != right.a:
+    for (_, b, _, y), (a, _, x, _) in zip(segments, segments[1:]):
+        if b != a:
             raise PreconditionError("segments must tile [0, 1] contiguously")
-        if left.y != right.x:
+        if y != x:
             raise PreconditionError("consecutive segments must share their vertex")
-    breakpoints = (segments[0].a, *(seg.b for seg in segments))
-    return LiftedPath(space, breakpoints, (segments[0].x, *(seg.y for seg in segments)))
+    breakpoints = (segments[0][0], *(b for _, b, _, _ in segments))
+    return LiftedPath(space, breakpoints, (segments[0][2], *(y for _, _, _, y in segments)))
 
 
 # -- certificates ------------------------------------------------------

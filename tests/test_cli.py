@@ -472,6 +472,15 @@ class TestMalformedInput:
         assert main(["prokhorov", mu_file, mu_file]) == 2
         assert "space.dist" in capsys.readouterr().err
 
+    def test_weight_with_trailing_newline_exit_two(self, crossing_pair, capsys):
+        _, _, _, mu_file, _ = crossing_pair
+        doc = json.loads(Path(mu_file).read_text())
+        doc["weights"][0] = "3/4\n"
+        write(Path(mu_file), doc)
+        assert main(["prokhorov", mu_file, mu_file]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: rational expected as \"p/q\" string, got '3/4\\n'\n"
+
     def test_segment_without_b_exit_two(self, tmp_path, capsys):
         rng = random.Random(67)
         space = gen.rand_space(rng, 3)

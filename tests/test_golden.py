@@ -289,6 +289,28 @@ def test_demo_cube_stdout_matches_golden_digest(dim):
     assert demo_cube_digest(dim) == golden[f"demo_cube:{dim}"]
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--tol", "1"], """--tol: rational expected as "p/q" string, got '1'"""),
+        (["--tol", "0/1"], "--tol: tolerance must be positive, got '0/1'"),
+        (["--iters", "0"], "--iters: at least one iteration is required"),
+    ],
+    ids=["tol-not-a-ratio", "tol-zero", "iters-zero"],
+)
+def test_demo_lift_bad_option_is_a_usage_error(tmp_path, args, error):
+    script = ROOT / "scripts" / "demo_lift.py"
+    result = subprocess.run(
+        [sys.executable, str(script), *args, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert result.returncode == 2
+    assert result.stderr.endswith(f"error: {error}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_demo_lift_files_match_golden_digests():
     golden = json.loads(DIGESTS.read_text())
     expected = {key: value for key, value in golden.items() if key.startswith("demo_lift:")}

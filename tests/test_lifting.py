@@ -33,7 +33,6 @@ from pathlift import (
     mixture,
     prokhorov,
     relift_near,
-    segment_lift,
     validate_space,
     verify_lift,
 )
@@ -119,12 +118,21 @@ class TestPolygonalEval:
         assert beta.eval(t) == mixture(mu, nu, t)
 
 
+def lift_on(x, y, a, b):
+    """The lifted path that is x up to a, the segment lift from x to y on [a, b], then y."""
+    bps = tuple(sorted({Z, a, b, F(1)}))
+    k = bps.index(a) + 1
+    return LiftedPath(x.space, bps, (x,) * k + (y,) * (len(bps) - k))
+
+
 class TestSegmentLift:
+    """The segment lift on [0, 1]; a path takes it on [a, b] at (t - a) / (b - a)."""
+
     def test_swap_of_constants(self):
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
         y = canonical_rv(dirac(space, "b"))
-        seg = segment_lift(x, y, Z, F(1))
+        seg = SegmentLift(x, y)
         for t in (F(1, 4), F(2, 3)):
             value = seg.eval(t)
             # mass moves from the left edge: b on [0, t), a on [t, 1)
@@ -134,7 +142,7 @@ class TestSegmentLift:
     def test_constant_segment(self):
         space = two_point_space()
         x = canonical_rv(Measure.from_weights(space, (F(1, 3), F(2, 3))))
-        seg = segment_lift(x, x, Z, F(1))
+        seg = SegmentLift(x, x)
         for t in (Z, F(1, 7), F(1)):
             assert seg.eval(t) == x
 
@@ -144,46 +152,52 @@ class TestSegmentLift:
             space = gen.rand_space(rng, rng.randint(2, 4))
             x = gen.rand_rv(rng, space)
             y = gen.rand_rv(rng, space)
-            seg = segment_lift(x, y, F(1, 4), F(3, 4))
-            assert seg.eval(F(1, 4)) == x
-            assert seg.eval(F(3, 4)) == y
+            assert SegmentLift(x, y).eval(Z) == x
+            assert SegmentLift(x, y).eval(F(1)) == y
+            lift = lift_on(x, y, F(1, 4), F(3, 4))
+            assert lift.eval(F(1, 4)) == x
+            assert lift.eval(F(3, 4)) == y
 
     def test_time_outside_interval(self):
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
-        seg = segment_lift(x, x, F(1, 4), F(3, 4))
-        with pytest.raises(PreconditionError, match=r"^time 7/8 outside \[1/4, 3/4\]$"):
-            seg.eval(F(7, 8))
-        with pytest.raises(PreconditionError, match=r"^time 1/8 outside \[1/4, 3/4\]$"):
-            seg.eval(F(1, 8))
+        seg = SegmentLift(x, x)
+        with pytest.raises(PreconditionError, match=r"^time 9/8 outside \[0, 1\]$"):
+            seg.eval(F(9, 8))
+        with pytest.raises(PreconditionError, match=r"^time -1/8 outside \[0, 1\]$"):
+            seg.eval(F(-1, 8))
 
     def test_degenerate_interval(self):
+        """An empty piece is refused by the path that would hold it."""
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
-        with pytest.raises(PreconditionError):
-            segment_lift(x, x, F(1, 2), F(1, 2))
+        with pytest.raises(PreconditionError, match="^breakpoints must be strictly increasing$"):
+            LiftedPath(space, (Z, F(1, 2), F(1, 2), F(1)), (x,) * 4)
 
     @given(space_with(n_rvs=2), fractions01())
     @settings(max_examples=60, deadline=None)
     def test_law_is_mixture(self, bundle, t):
         _, x, y = bundle
-        seg = segment_lift(x, y, Z, F(1))
+        seg = SegmentLift(x, y)
         assert law(seg.eval(t)) == mixture(law(x), law(y), t)
 
     @given(space_with(n_rvs=2), fractions01(), fractions01())
     @settings(max_examples=60, deadline=None)
     def test_lipschitz_in_time(self, bundle, u, v):
         _, x, y = bundle
+        u, v = sorted([u, v])
+        seg = SegmentLift(x, y)
+        assert kyfan_rho(seg.eval(u), seg.eval(v)) <= v - u
         a, b = F(1, 8), F(7, 8)
-        seg = segment_lift(x, y, a, b)
-        s, t = sorted([a + (b - a) * u, a + (b - a) * v])
-        assert kyfan_rho(seg.eval(s), seg.eval(t)) <= (t - s) / (b - a)
+        lift = lift_on(x, y, a, b)
+        s, t = a + (b - a) * u, a + (b - a) * v
+        assert kyfan_rho(lift.eval(s), lift.eval(t)) <= (t - s) / (b - a)
 
     @given(space_with(n_rvs=2), fractions01())
     @settings(max_examples=60, deadline=None)
     def test_left_endpoint_dominates(self, bundle, u):
         _, x, y = bundle
-        seg = segment_lift(x, y, Z, F(1))
+        seg = SegmentLift(x, y)
         assert kyfan_rho(x, seg.eval(u)) <= kyfan_rho(x, y)
 
     @given(
@@ -194,7 +208,7 @@ class TestSegmentLift:
     @settings(max_examples=40, deadline=None)
     def test_rho_between_is_kyfan_of_two_evaluations(self, bundle, r, u):
         _, x, y = bundle
-        seg = segment_lift(x, y, Z, F(1))
+        seg = SegmentLift(x, y)
         times = sorted(
             {Z, F(1), r, u} | {F(c, x.den) for c in x.cuts} | {F(c, y.den) for c in y.cuts}
         )
@@ -204,21 +218,21 @@ class TestSegmentLift:
             for t, vt in zip(times, values):
                 rho = seg.rho_between(s, t)
                 assert rho == kyfan_rho(vs, vt)
+                assert rho == seg.rho_apart(*abs(s - t).as_integer_ratio())
                 by_gap.append((abs(s - t), rho))
         # a function of |s - t| alone, nondecreasing in it
         by_gap.sort()
         assert all(a[1] <= b[1] for a, b in zip(by_gap, by_gap[1:]))
-        shifted = segment_lift(x, y, F(1, 3), F(2))
-        s, t = F(1, 3) + r * F(5, 3), F(1, 3) + u * F(5, 3)
-        assert shifted.rho_between(s, t) == kyfan_rho(shifted.eval(s), shifted.eval(t))
-        assert shifted.rho_between(s, t) == seg.rho_between(r, u)
+        lift = lift_on(x, y, F(1, 3), F(5, 6))
+        s, t = F(1, 3) + r / 2, F(1, 3) + u / 2
+        assert kyfan_rho(lift.eval(s), lift.eval(t)) == seg.rho_between(r, u)
 
     def test_rho_between_outside_interval(self):
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
-        seg = segment_lift(x, x, F(1, 4), F(3, 4))
-        with pytest.raises(PreconditionError, match=r"^time 7/8 outside \[1/4, 3/4\]$"):
-            seg.rho_between(F(1, 2), F(7, 8))
+        seg = SegmentLift(x, x)
+        with pytest.raises(PreconditionError, match=r"^time 9/8 outside \[0, 1\]$"):
+            seg.rho_between(F(1, 2), F(9, 8))
 
 
 class TestLiftPolygonal:
@@ -563,6 +577,11 @@ def polygonal_on(bps):
     return PolygonalPath(space, bps, tuple(mixture(a, b, F(k % 4, 3)) for k in range(len(bps))))
 
 
+def local_times(bps, i, *times):
+    """The times, each as its local time in piece i of the breakpoints."""
+    return [(t - bps[i]) / (bps[i + 1] - bps[i]) for t in times]
+
+
 def lift_of(beta):
     return lift_polygonal(beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1]))
 
@@ -579,9 +598,14 @@ class TestIntegerTimeAxis:
         lift = lift_of(beta)
         for t in data.draw(times_around(bps)):
             idx = min(bisect_right(bps, t) - 1, len(bps) - 2)
-            assert beta.segment_index(t) == idx
-            with mock.patch.object(SegmentLift, "eval", lambda seg, t: seg):
-                assert lift.eval(t) is lift.segments[idx]
+            local = (t - bps[idx]) / (bps[idx + 1] - bps[idx])
+            assert beta.locate(t) == lift.locate(t) == (idx, local)
+            # both paths hand the one (piece, local time) to their segment rule
+            with mock.patch.object(lifting, "mixture", lambda mu, nu, s: (mu, nu, s)):
+                assert beta.eval(t) == (*beta.vertices[idx:idx + 2], local)
+            with mock.patch.object(SegmentLift, "eval", lambda seg, s: (seg, s)):
+                seg, s = lift.eval(t)
+                assert seg is lift.segments[idx] and s == local
 
     @given(breakpoint_tuples(), breakpoint_tuples(), st.integers(2, 40))
     @example((Z, F(1, 3), F(1)), (Z, F(1)), 3)  # 1/2 lies within 1/3 right of 1/3
@@ -591,9 +615,10 @@ class TestIntegerTimeAxis:
         cert = verify_lift(lift, polygonal_on(target_bps), grid_n=grid_n)
         grid = cert.grid
         assert list(grid) == verify_grid_oracle(grid_n, lift_bps, target_bps)
+        pieces = [bisect_left(lift_bps, t) - 1 for t in grid[1:]]
         assert cert.continuity_table == tuple(
-            lift.segments[bisect_left(lift_bps, t) - 1].rho_between(s, t)
-            for s, t in zip(grid, grid[1:])
+            lift.segments[i].rho_between(*local_times(lift_bps, i, s, t))
+            for i, s, t in zip(pieces, grid, grid[1:])
         )
 
     @given(breakpoint_tuples(), breakpoint_tuples(), st.fractions(0, 1, max_denominator=9))
@@ -612,12 +637,14 @@ class TestIntegerTimeAxis:
         modulus = max(1 / (hi - lo) for lo, hi in zip(bps, bps[1:]))
         assert SampledPath.from_polygonal(beta).lipschitz == modulus
 
-    @given(
-        st.lists(st.fractions(-2, 3, max_denominator=30), min_size=2, max_size=2, unique=True),
-        fractions01(max_den=120),
-    )
-    def test_local_time_is_the_reduced_fraction(self, ends, u):
-        a, b = sorted(ends)
-        x = canonical_rv(dirac(two_point_space(), "a"))
-        t = a + (b - a) * u
-        assert segment_lift(x, x, a, b)._local(t) == u.as_integer_ratio()
+    @given(breakpoint_tuples(), st.data(), fractions01(max_den=120))
+    def test_local_time_is_the_reduced_fraction(self, bps, data, u):
+        i = data.draw(st.integers(0, len(bps) - 2))
+        t = bps[i] + (bps[i + 1] - bps[i]) * u
+        # the right end of a piece is local time 0 of the next, save at t = 1
+        expected = (i + 1, Z) if u == 1 and i < len(bps) - 2 else (i, u)
+        beta = polygonal_on(bps)
+        assert beta.locate(t) == expected
+        # the segment walk gets the local time as its reduced integer pair
+        with mock.patch.object(lifting, "transfer_blocks", lambda *args: args[-2:]):
+            assert lift_of(beta).eval(t) == expected[1].as_integer_ratio()

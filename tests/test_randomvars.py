@@ -22,8 +22,10 @@ from helpers import (
     space_with,
 )
 from pathlift import (
+    LiftedPath,
     Measure,
     PreconditionError,
+    SegmentLift,
     SimpleRandomVariable,
     canonical_rv,
     dirac,
@@ -34,7 +36,6 @@ from pathlift import (
     prokhorov,
     prokhorov_coupling,
     realize_coupling,
-    segment_lift,
     validate_space,
 )
 from pathlift.selftest import rho_scan_oracle
@@ -276,7 +277,7 @@ class TestSlabsAgainstBlockOracle:
     @settings(max_examples=60, deadline=None)
     def test_segment_eval(self, bundle, r):
         _, _, x, y = bundle
-        seg = segment_lift(x, y, Z, F(1))
+        seg = SegmentLift(x, y)
         times = {Z, F(1), r} | {F(c, x.den) for c in x.cuts} | {F(c, y.den) for c in y.cuts}
         # times at which a cell's moved mass reaches one of its piece ends
         for row in oracle_cells(x, y):
@@ -287,8 +288,8 @@ class TestSlabsAgainstBlockOracle:
                     times.add(reached / measure(cell))
         for t in times:
             assert seg.eval(t).blocks == oracle_transfer(x, y, t)
-        shifted = segment_lift(x, y, F(1, 3), F(2))
-        assert shifted.eval(F(1, 3) + r * F(5, 3)).blocks == oracle_transfer(x, y, r)
+        shifted = LiftedPath(x.space, (Z, F(1, 3), F(1)), (x, x, y))
+        assert shifted.eval(F(1, 3) + r * F(2, 3)).blocks == oracle_transfer(x, y, r)
 
     @given(SLAB_BUNDLES)
     @settings(max_examples=80, deadline=None)

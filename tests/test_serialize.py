@@ -119,6 +119,15 @@ class TestFractionStrings:
             with pytest.raises(PreconditionError):
                 parse_frac(bad)
 
+    @pytest.mark.parametrize(
+        "text", ["1/2\n", "\u0661/\u0662", "\uff11/\uff12", " 1/2", "+1/2"],
+        ids=["trailing-newline", "arabic-indic-digits", "fullwidth-digits", "space", "plus"],
+    )
+    def test_only_ascii_digits_and_the_whole_string(self, text):
+        with pytest.raises(PreconditionError) as got:
+            parse_frac(text)
+        assert str(got.value) == f'rational expected as "p/q" string, got {text!r}'
+
 
 TWO_POINTS = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
 
@@ -394,6 +403,32 @@ class TestLifts:
         )
         rebuilt = lift_from_obj(lift_to_obj(lift))
         assert rebuilt == lift
+
+    def test_written_lift_reads_each_vertex_once(self, monkeypatch):
+        rng = random.Random(6)
+        space = gen.rand_space(rng, 3)
+        beta = gen.rand_polygonal(rng, space, 6)
+        lift = lift_polygonal(
+            beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
+        )
+        calls = []
+
+        def counting(space, obj):
+            calls.append(obj)
+            return rv_from_blocks_obj(space, obj)
+
+        monkeypatch.setattr(serialize, "rv_from_blocks_obj", counting)
+        assert lift_from_obj(lift_to_obj(lift)) == lift
+        assert len(calls) == len(lift.vertices)
+
+    def test_vertex_written_in_other_text_is_still_shared(self):
+        half = Measure.from_weights(TWO_POINTS, (F(1, 2), F(1, 2)))
+        beta = PolygonalPath(TWO_POINTS, (Z, F(1, 2), F(1)), (half, half, half))
+        lift = lift_polygonal(beta, canonical_rv(half), canonical_rv(half))
+        doc = lift_to_obj(lift)
+        assert doc["segments"][0]["y"] == {"a": [["0/1", "1/2"]], "b": [["1/2", "1/1"]]}
+        doc["segments"][1]["x"] = {"a": [["0/1", "2/4"]], "b": [["2/4", "1/1"]]}
+        assert lift_from_obj(doc) == lift
 
     # x_0 = dirac a; an edit (k, key, value) sets segments[k][key], DROP deletes it
     DROP = object()
