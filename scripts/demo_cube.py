@@ -27,6 +27,10 @@ def main():
     parser.add_argument("--grid", type=int, default=5)
     parser.add_argument("--points", type=int, default=4, help="space size")
     args = parser.parse_args()
+    if args.grid < 2:
+        parser.error(f"--grid: at least 2 points per axis are required, got {args.grid}")
+    if not 1 <= args.points <= 16:
+        parser.error(f"--points: space size must be 1 to 16, got {args.points}")
 
     rng = random.Random(args.seed)
     space = gen.rand_space(rng, args.points)

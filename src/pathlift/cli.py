@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .cube import CubeInterpolation, CubeLift, g_eval
 from .errors import InvariantError, PreconditionError
@@ -25,7 +26,6 @@ from .lifting import (
     relift_near,
     verify_lift,
 )
-from .omega import ONE, ZERO
 from .prokhorov import (
     SUBSET_ORACLE_LIMIT,
     prokhorov,
@@ -52,13 +52,9 @@ from .serialize import (
     weights_from_obj,
     write_json_atomic,
 )
+from .spaces import ONE, ZERO
 
 MAX_CUBE_DIM = 3
-
-
-def _grid(args, default=DEFAULT_GRID):
-    """--grid when given, even when it is too small to use, else default."""
-    return default if args.grid is None else args.grid
 
 
 def _emit(doc, out_path):
@@ -153,17 +149,16 @@ def cmd_segment(args):
     x = _load_rv_file(args.x)
     y = _load_rv_file(args.y)
     beta = PolygonalPath(x.space, (ZERO, ONE), (law(x), law(y)))
-    return _emit_lift(*_lift_exactly(beta, x, y, _grid(args)), args.out)
+    return _emit_lift(*_lift_exactly(beta, x, y, args.grid), args.out)
 
 
 def cmd_lift(args):
     target = path_from_obj(load_json(args.path))
     x_start, x_end = _load_endpoints(args.endpoints)
-    grid_n = _grid(args)
     if isinstance(target, PolygonalPath):
-        return _emit_lift(*_lift_exactly(target, x_start, x_end, grid_n), args.out)
+        return _emit_lift(*_lift_exactly(target, x_start, x_end, args.grid), args.out)
     tol = parse_frac(args.tol)
-    lift, cert = lift_path(target, x_start, x_end, tol, args.iters, grid_n=grid_n)
+    lift, cert = lift_path(target, x_start, x_end, tol, args.iters, grid_n=args.grid)
     _, budgets = decay_budgets(tol, args.iters)
     ok = (
         cert.max_law_gap <= tol
@@ -180,7 +175,7 @@ def cmd_relift(args):
         raise PreconditionError("relift expects a polygonal target path")
     eps = parse_frac(args.tol)
     relifted, drift = relift_near(prev, target, eps)
-    cert = verify_lift(relifted, target, grid_n=_grid(args), decay_table=(drift,))
+    cert = verify_lift(relifted, target, grid_n=args.grid, decay_table=(drift,))
     ok = cert.max_law_gap == ZERO and all(cert.endpoint_ok) and drift <= 5 * eps
     return _emit_lift(relifted, cert, ok, args.out)
 
@@ -188,7 +183,7 @@ def cmd_relift(args):
 def cmd_verify(args):
     lift = lift_from_obj(load_json(args.lift))
     target = path_from_obj(load_json(args.path))
-    cert = verify_lift(lift, target, grid_n=_grid(args))
+    cert = verify_lift(lift, target, grid_n=args.grid)
     _emit(certificate_to_obj(cert), args.out)
     tol = parse_frac(args.tol) if args.tol else ZERO
     ok = cert.max_law_gap <= tol and all(cert.endpoint_ok)
@@ -210,36 +205,27 @@ def cmd_cube(args):
         raise PreconditionError(
             f"cube dimension {interp.dimension} exceeds the cap {MAX_CUBE_DIM}"
         )
-    per_axis = _grid(args, default=9)
+    per_axis, n = args.grid, interp.dimension
     if per_axis < 2:
         raise PreconditionError("cube grid needs at least 2 points per axis")
     axis = [Fraction(i, per_axis - 1) for i in range(per_axis)]
     lift = CubeLift(interp)
-    indices = [()]
-    for _ in range(interp.dimension):
-        indices = [p + (k,) for p in indices for k in range(per_axis)]
-    points = {idx: tuple(axis[k] for k in idx) for idx in indices}
-    values = {idx: lift.eval(points[idx]) for idx in indices}
-    gaps = [
-        frac_str(prokhorov(law(values[idx]), g_eval(interp, points[idx])))
-        for idx in indices
+    indices = list(product(range(per_axis), repeat=n))
+    strides = [per_axis ** (n - 1 - a) for a in range(n)]  # k + strides[a]: k's neighbour along a
+    points = [tuple(axis[k] for k in idx) for idx in indices]
+    texts = [[frac_str(t) for t in point] for point in points]
+    values = [lift.eval(point) for point in points]
+    gaps = [frac_str(prokhorov(law(v), g_eval(interp, p))) for v, p in zip(values, points)]
+    adjacent = [
+        {"from": texts[k], "to": texts[k + s], "rho": frac_str(kyfan_rho(values[k], values[k + s]))}
+        for k, idx in enumerate(indices)
+        for i, s in zip(idx, strides)
+        if i + 1 < per_axis
     ]
-    adjacent = []
-    for idx in indices:
-        for a in range(interp.dimension):
-            if idx[a] + 1 < per_axis:
-                nxt = idx[:a] + (idx[a] + 1,) + idx[a + 1 :]
-                adjacent.append(
-                    {
-                        "from": [frac_str(t) for t in points[idx]],
-                        "to": [frac_str(t) for t in points[nxt]],
-                        "rho": frac_str(kyfan_rho(values[idx], values[nxt])),
-                    }
-                )
     doc = {
-        "dimension": interp.dimension,
+        "dimension": n,
         "grid_per_axis": per_axis,
-        "points": [[frac_str(t) for t in points[idx]] for idx in indices],
+        "points": texts,
         "law_gap": gaps,
         "adjacent_rho": adjacent,
     }
@@ -267,13 +253,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=False, iters=False, grid=False, seed=False, out=True):
+    def common(p, tol=False, iters=False, grid=None, seed=False, out=True):
         if tol:
             p.add_argument("--tol", default="1/25", help="rational tolerance, p/q")
         if iters:
             p.add_argument("--iters", type=int, default=3)
-        if grid:
-            p.add_argument("--grid", type=int, default=None)
+        if grid is not None:
+            p.add_argument("--grid", type=int, default=grid)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if out:
@@ -297,27 +283,27 @@ def build_parser():
     p = sub.add_parser("segment", help="lift the segment joining two variables")
     p.add_argument("x")
     p.add_argument("y")
-    common(p, grid=True)
+    common(p, grid=DEFAULT_GRID)
 
     p = sub.add_parser("lift", help="lift a measure path with prescribed endpoints")
     p.add_argument("path")
     p.add_argument("endpoints")
-    common(p, tol=True, iters=True, grid=True)
+    common(p, tol=True, iters=True, grid=DEFAULT_GRID)
 
     p = sub.add_parser("relift", help="relift a polygonal near an existing lifting")
     p.add_argument("lift")
     p.add_argument("path")
-    common(p, tol=True, grid=True)
+    common(p, tol=True, grid=DEFAULT_GRID)
 
     p = sub.add_parser("verify", help="recompute the certificate of a lifting")
     p.add_argument("lift")
     p.add_argument("path")
     p.add_argument("--tol", default=None, help="allowed law gap, default exact")
-    common(p, grid=True)
+    common(p, grid=DEFAULT_GRID)
 
     p = sub.add_parser("cube", help="lift a multi-affine corner interpolation")
     p.add_argument("corners")
-    common(p, grid=True)
+    common(p, grid=9)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
     common(p, seed=True, out=False)

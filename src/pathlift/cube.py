@@ -2,12 +2,13 @@
 
 With corner measures m_1, ..., m_{K}, the interpolation over the
 (K-1)-cube blends the previous level toward the next corner along each
-coordinate in turn.  The lifting mirrors this with iterated segment
-lifts: starting from the canonical variable of the first corner, each
-coordinate t moves the current level variable toward the canonical
-variable of the next corner by the segment lift at time t.
-The pointwise law equals the interpolation exactly at every rational
-point.
+coordinate in turn.  The lifting follows the same recursion: the value
+at (t_1, ..., t_k) is the segment lift from the value at
+(t_1, ..., t_{k-1}) to the canonical variable of the next corner, taken
+at t_k; the empty prefix holds the canonical variable of the first
+corner.  Each prefix point keeps its segment lift, which serves every
+point below it.  The pointwise law equals the interpolation exactly at
+every rational point.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from functools import cached_property
 
 from .errors import PreconditionError
 from .lifting import SegmentLift
-from .omega import ONE, ZERO
 from .randomvars import SimpleRandomVariable, canonical_rv
-from .spaces import FiniteMetricSpace, Measure, mixture, same_space
+from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, mixture, same_space
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,21 @@ class CubeLift:
         return tuple(canonical_rv(corner) for corner in self.interp.corners)
 
     @cached_property
-    def first_segment(self) -> SegmentLift:
-        """The first-axis lift, from corner 0 to corner 1; shared by all points."""
-        return SegmentLift(self.corner_rvs[0], self.corner_rvs[1])
+    def _segments(self) -> dict[tuple[Fraction, ...], SegmentLift]:
+        """The segment lift of each prefix point queried so far."""
+        return {}
+
+    def _segment(self, prefix: tuple[Fraction, ...]) -> SegmentLift:
+        """The lift along the next axis at a checked prefix point: from the
+        value there (the first corner's at the empty prefix) to the next corner."""
+        seg = self._segments.get(prefix)
+        if seg is None:
+            start = self._segment(prefix[:-1]).eval(prefix[-1]) if prefix else self.corner_rvs[0]
+            seg = self._segments[prefix] = SegmentLift(start, self.corner_rvs[len(prefix) + 1])
+        return seg
 
     def eval(self, ts) -> SimpleRandomVariable:
-        """Lifting twin of g_eval: one segment lift per coordinate."""
+        """Lifting twin of g_eval: the segment lift at the point's prefix,
+        taken at its last coordinate."""
         ts = _check_point(self.interp, ts)
-        value = self.first_segment.eval(ts[0])
-        for t, corner in zip(ts[1:], self.corner_rvs[2:]):
-            value = SegmentLift(value, corner).eval(t)
-        return value
+        return self._segment(ts[:-1]).eval(ts[-1])

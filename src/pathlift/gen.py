@@ -11,9 +11,8 @@ import random
 from fractions import Fraction
 
 from .lifting import PolygonalPath, SampledPath
-from .omega import ONE, ZERO
 from .randomvars import SimpleRandomVariable
-from .spaces import FiniteMetricSpace, Measure, mixture, validate_space
+from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, mixture, validate_space
 
 _POINT_NAMES = "abcdefghijklmnop"
 

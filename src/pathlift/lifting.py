@@ -37,7 +37,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import PreconditionError
-from .omega import ONE, ZERO
 from .prokhorov import (
     _kyfan_from_tails, _level_tails, prokhorov, prokhorov_coupling, total_variation
 )
@@ -51,7 +50,7 @@ from .randomvars import (
     realize_coupling,
     refinement,
 )
-from .spaces import FiniteMetricSpace, Measure, mixture, same_space
+from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, mixture, same_space
 
 DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
 

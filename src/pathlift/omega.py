@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .spaces import ONE, ZERO
 
 Pair = tuple[Fraction, Fraction]
 

@@ -31,8 +31,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import InvariantError, PreconditionError
-from .omega import ZERO
-from .spaces import CouplingMatrix, Measure, same_space
+from .spaces import ZERO, CouplingMatrix, Measure, same_space
 
 SUBSET_ORACLE_LIMIT = 16
 

@@ -27,7 +27,6 @@ from .lifting import (
     sup_rho_on_grid,
     verify_lift,
 )
-from .omega import ONE, ZERO
 from .prokhorov import kyfan_functional, prokhorov, prokhorov_coupling, prokhorov_subsets
 from .randomvars import canonical_rv, kyfan_rho, law, match_to_law
 from .serialize import (
@@ -38,7 +37,7 @@ from .serialize import (
     rv_from_obj,
     rv_to_obj,
 )
-from .spaces import mixture
+from .spaces import ONE, ZERO, mixture
 
 
 def rho_scan_oracle(x, y) -> Fraction:

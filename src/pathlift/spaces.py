@@ -20,6 +20,9 @@ from typing import Sequence
 
 from .errors import PreconditionError
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:

@@ -19,11 +19,14 @@ from pathlift import (
     CouplingMatrix,
     Measure,
     PreconditionError,
+    SegmentLift,
     SimpleRandomVariable,
+    canonical_rv,
     validate_space,
 )
-from pathlift.omega import ONE, ZERO, IntervalSet
+from pathlift.omega import IntervalSet
 from pathlift.serialize import parse_frac
+from pathlift.spaces import ONE, ZERO
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -410,6 +413,17 @@ def verify_grid_oracle(grid_n: int, *breakpoint_sets) -> list[Fraction]:
     for bps in breakpoint_sets:
         points.update(bps)
     return sorted(points)
+
+
+def cube_chain_oracle(interp, ts) -> SimpleRandomVariable:
+    """A cube lift's value by the per-coordinate chain, with nothing shared
+    between points: from the first corner's canonical variable, one new
+    segment lift per coordinate, toward the next corner's canonical variable."""
+    corners = [canonical_rv(c) for c in interp.corners]
+    value = corners[0]
+    for t, corner in zip(ts, corners[1:]):
+        value = SegmentLift(value, corner).eval(Fraction(t))
+    return value
 
 
 # -- hypothesis strategies ---------------------------------------------

@@ -15,7 +15,10 @@ from pathlift import (
     law,
     validate_space,
 )
-from pathlift import gen
+from pathlift import SegmentLift, gen
+from pathlift import cube
+
+from helpers import cube_chain_oracle
 
 F = Fraction
 Z = F(0)
@@ -121,3 +124,61 @@ class TestGLiftEval:
                     step = point[:a] + (point[a] + F(1, 3),) + point[a + 1 :]
                     rho = kyfan_rho(lift.eval(point), lift.eval(step))
                     assert 0 <= rho <= 1
+
+
+class TestPrefixTree:
+    """eval is the paper's recursion: one segment lift per prefix point."""
+
+    def test_equals_the_chain_in_any_order_off_any_grid(self):
+        rng = random.Random(8)
+        space = gen.rand_space(rng, 4)
+        for dim in (1, 2, 3):
+            corners = tuple(gen.rand_measure(rng, space) for _ in range(dim + 1))
+            interp = CubeInterpolation(space, corners)
+            # few values per axis over mixed denominators, so prefixes repeat
+            pools = [
+                [Z, F(1)] + [F(rng.randint(0, d), d) for d in rng.sample((3, 7, 10, 13), 2)]
+                for _ in range(dim)
+            ]
+            points = list(product(*pools))
+            rng.shuffle(points)
+            lift = CubeLift(interp)
+            for point in points[:24]:
+                assert lift.eval(point) == cube_chain_oracle(interp, point)
+
+    def test_grid_builds_one_segment_lift_per_prefix_point(self, monkeypatch):
+        built, evaluated = [], []
+
+        class Counted(SegmentLift):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+            def eval(self, s):
+                evaluated.append(s)
+                return super().eval(s)
+
+        monkeypatch.setattr(cube, "SegmentLift", Counted)
+        rng = random.Random(9)
+        space = gen.rand_space(rng, 3)
+        corners = tuple(gen.rand_measure(rng, space) for _ in range(4))
+        lift = CubeLift(CubeInterpolation(space, corners))
+        axis = [F(k, 4) for k in range(5)]
+        for point in product(axis, repeat=3):
+            lift.eval(point)
+        # 1 + 5 + 25 prefix points; 125 points plus 5 + 25 prefix values
+        assert (len(built), len(evaluated)) == (31, 155)
+        for point in product(axis, repeat=3):
+            lift.eval(point)
+        assert (len(built), len(evaluated)) == (31, 280)
+
+    def test_two_lifts_of_one_interpolation_agree(self):
+        rng = random.Random(10)
+        space = gen.rand_space(rng, 4)
+        corners = tuple(gen.rand_measure(rng, space) for _ in range(3))
+        interp = CubeInterpolation(space, corners)
+        first, second = CubeLift(interp), CubeLift(interp)
+        points = list(product([Z, F(1, 3), F(3, 4), F(1)], repeat=2))
+        values = [first.eval(point) for point in points]
+        assert [second.eval(point) for point in reversed(points)] == values[::-1]
+        assert first == second and hash(first) == hash(second)

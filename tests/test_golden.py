@@ -311,6 +311,29 @@ def test_demo_lift_bad_option_is_a_usage_error(tmp_path, args, error):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--grid", "1"], "--grid: at least 2 points per axis are required, got 1"),
+        (["--grid", "0"], "--grid: at least 2 points per axis are required, got 0"),
+        (["--points", "0"], "--points: space size must be 1 to 16, got 0"),
+        (["--points", "17"], "--points: space size must be 1 to 16, got 17"),
+    ],
+    ids=["grid-one", "grid-zero", "points-zero", "points-seventeen"],
+)
+def test_demo_cube_bad_option_is_a_usage_error(args, error):
+    script = ROOT / "scripts" / "demo_cube.py"
+    result = subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: {error}\n")
+
+
 def test_demo_lift_files_match_golden_digests():
     golden = json.loads(DIGESTS.read_text())
     expected = {key: value for key, value in golden.items() if key.startswith("demo_lift:")}
