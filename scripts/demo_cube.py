@@ -38,20 +38,20 @@ def main():
     interp = CubeInterpolation(space, corners)
     lift = CubeLift(interp)
 
+    # flat lists aligned with product(range(grid), repeat=dim): entry k's
+    # neighbour along axis a is entry k + strides[a]
     axis = [F(k, args.grid - 1) for k in range(args.grid)]
-    worst_gap = F(0)
-    worst_rho = F(0)
-    values = {}
-    for point in product(axis, repeat=args.dim):
-        values[point] = lift.eval(point)
-        gap = prokhorov(law(values[point]), g_eval(interp, point))
-        worst_gap = max(worst_gap, gap)
-    for point in product(axis, repeat=args.dim):
-        for a in range(args.dim):
-            k = axis.index(point[a])
-            if k + 1 < len(axis):
-                step = point[:a] + (axis[k + 1],) + point[a + 1 :]
-                worst_rho = max(worst_rho, kyfan_rho(values[point], values[step]))
+    indices = list(product(range(args.grid), repeat=args.dim))
+    strides = [args.grid ** (args.dim - 1 - a) for a in range(args.dim)]
+    points = [tuple(axis[k] for k in idx) for idx in indices]
+    values = [lift.eval(point) for point in points]
+    worst_gap = max(prokhorov(law(v), g_eval(interp, p)) for v, p in zip(values, points))
+    worst_rho = max(
+        kyfan_rho(values[k], values[k + s])
+        for k, idx in enumerate(indices)
+        for i, s in zip(idx, strides)
+        if i + 1 < args.grid
+    )
 
     print(f"space points:       {', '.join(space.points)}")
     print(f"cube dimension:     {args.dim}, grid {args.grid} per axis")

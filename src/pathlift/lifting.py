@@ -24,7 +24,12 @@ variables, interior vertices chained by matching; an arbitrary Lipschitz
 path of measures is approximated by polygonals on uniform grids and
 lifted iteratively, each round staying rho-close to the previous one
 (the 5-epsilon rebuild), with a Certificate recording every verified
-quantity as an exact rational.
+quantity as an exact rational.  A relift keeps the previous value at
+each grid point where its law already equals the target, since that
+value is the match there, and runs a max-flow only at the other points.
+The segment lift from S(a) to S(b) is S restricted to [a, b], so a piece
+between two kept points is the previous lift itself and only the other
+pieces' midpoints are evaluated for the drift.
 """
 
 from __future__ import annotations
@@ -354,9 +359,16 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
     prev is within eps of beta, and beta agrees with prev's endpoint
     laws exactly.  The endpoints of prev are kept; interior vertices are
     matches of prev to beta at breakpoints refined until prev oscillates
-    less than eps per piece.
+    less than eps per piece.  A point where law(prev) already equals
+    beta keeps prev's value, which is the match there: the optimal
+    coupling of a law with itself is the diagonal, and realizing it
+    gives the variable back.
     Also returns the drift, max rho(prev, relifted) on certification_grid(relifted):
-    at a vertex it is the Prokhorov gap its coupling attains; midpoints are evaluated.
+    at a vertex it is the Prokhorov gap its coupling attains; midpoints are evaluated,
+    save on a piece whose two vertices were both kept.  The grid holds
+    every breakpoint of prev, so that piece lies in one segment lift S
+    of prev, and the segment lift from S(a) to S(b) is S restricted to
+    [a, b]: it equals prev all along the piece, and its rho is 0.
     """
     eps = Fraction(eps)
     if eps < ZERO:
@@ -373,7 +385,11 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
     variables = [snapshots[0]]
     drift = ZERO
     for t, snapshot in zip(grid[1:-1], snapshots[1:-1]):
-        gap, witness = prokhorov_coupling(law(snapshot), beta.eval(t))
+        have, target = law(snapshot), beta.eval(t)
+        if have == target:
+            variables.append(snapshot)
+            continue
+        gap, witness = prokhorov_coupling(have, target)
         if gap > eps:
             raise PreconditionError(
                 f"law gap {gap} at t = {t} exceeds the declared budget {eps}"
@@ -382,8 +398,9 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
         variables.append(realize_coupling(snapshot, witness))
     variables.append(snapshots[-1])
     relifted = LiftedPath(prev.space, tuple(grid), tuple(variables))
-    for seg, lo, hi in zip(relifted.segments, grid, grid[1:]):
-        drift = max(drift, kyfan_rho(prev.eval((lo + hi) / 2), seg.eval(Fraction(1, 2))))
+    for seg, lo, hi, x, y in zip(relifted.segments, grid, grid[1:], snapshots, snapshots[1:]):
+        if seg.x is not x or seg.y is not y:  # else both kept: seg restricts prev
+            drift = max(drift, kyfan_rho(prev.eval((lo + hi) / 2), seg.eval(Fraction(1, 2))))
     return relifted, drift
 
 

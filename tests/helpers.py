@@ -17,11 +17,16 @@ from hypothesis import strategies as st
 
 from pathlift import (
     CouplingMatrix,
+    LiftedPath,
     Measure,
     PreconditionError,
     SegmentLift,
     SimpleRandomVariable,
     canonical_rv,
+    kyfan_rho,
+    law,
+    prokhorov_coupling,
+    realize_coupling,
     validate_space,
 )
 from pathlift.omega import IntervalSet
@@ -405,6 +410,35 @@ def refined_grid_oracle(prev_bps, beta_bps, eps: Fraction) -> list[Fraction]:
             step = (hi - lo) / parts
             points.update(lo + k * step for k in range(1, parts))
     return sorted(points)
+
+
+def relift_near_oracle(prev, beta, eps: Fraction) -> tuple[LiftedPath, Fraction]:
+    """relift_near by the full route: at every interior point of the
+    refined grid a max-flow coupling of prev's law with beta, its budget
+    check and its realization, then every piece midpoint evaluated.
+    The same errors, texts and order as the library's."""
+    eps = Fraction(eps)
+    grid = refined_grid_oracle(prev.breakpoints, beta.breakpoints, eps)
+    snapshots = [prev.eval(t) for t in grid]
+    if beta.vertices[0] != law(snapshots[0]):
+        raise PreconditionError("target path differs from prev's law at t = 0")
+    if beta.vertices[-1] != law(snapshots[-1]):
+        raise PreconditionError("target path differs from prev's law at t = 1")
+    variables = [snapshots[0]]
+    drift = ZERO
+    for t, snapshot in zip(grid[1:-1], snapshots[1:-1]):
+        gap, witness = prokhorov_coupling(law(snapshot), beta.eval(t))
+        if gap > eps:
+            raise PreconditionError(
+                f"law gap {gap} at t = {t} exceeds the declared budget {eps}"
+            )
+        drift = max(drift, gap)
+        variables.append(realize_coupling(snapshot, witness))
+    variables.append(snapshots[-1])
+    relifted = LiftedPath(prev.space, tuple(grid), tuple(variables))
+    for seg, lo, hi in zip(relifted.segments, grid, grid[1:]):
+        drift = max(drift, kyfan_rho(prev.eval((lo + hi) / 2), seg.eval(Fraction(1, 2))))
+    return relifted, drift
 
 
 def verify_grid_oracle(grid_n: int, *breakpoint_sets) -> list[Fraction]:

@@ -5,13 +5,16 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     breakpoint_tuples,
     fractions01,
+    measures_on,
+    metric_spaces,
     refined_grid_oracle,
+    relift_near_oracle,
     space_with,
     times_around,
     verify_grid_oracle,
@@ -227,6 +230,25 @@ class TestSegmentLift:
         s, t = F(1, 3) + r / 2, F(1, 3) + u / 2
         assert kyfan_rho(lift.eval(s), lift.eval(t)) == seg.rho_between(r, u)
 
+    @given(
+        space_with(n_rvs=2, max_slabs=8),
+        fractions01(max_den=12),
+        fractions01(max_den=12),
+        fractions01(max_den=9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_restriction_is_a_segment_lift(self, bundle, r, v, u):
+        """The segment lift between two values of S is S on the times
+        between: what lets relift_near skip the midpoints of kept pieces."""
+        _, x, y = bundle
+        a, b = sorted((r, v))
+        assume(a < b)
+        seg = SegmentLift(x, y)
+        for lo, hi in {(a, b), (Z, b), (a, F(1)), (Z, F(1))}:
+            if lo < hi:
+                restricted = SegmentLift(seg.eval(lo), seg.eval(hi))
+                assert restricted.eval(u) == seg.eval(lo + (hi - lo) * u)
+
     def test_rho_between_outside_interval(self):
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
@@ -405,17 +427,80 @@ class TestApproximatePolygonal:
             approximate_polygonal(SampledPath(space, beta.eval, F(1)), Z)
 
 
+@st.composite
+def relift_cases(draw):
+    """(prev, beta, eps): prev lifts a random polygonal; beta is prev's law
+    path on prev's breakpoints plus ones inside its pieces, with none, all,
+    or runs of its interior vertices moved toward a point mass."""
+    space = draw(metric_spaces(max_size=3))
+    bps = draw(breakpoint_tuples(max_inner=3, max_den=12))
+    prev = lift_of(PolygonalPath(space, bps, tuple(draw(measures_on(space)) for _ in bps)))
+    inside = st.fractions(0, 1, max_denominator=12).filter(lambda t: Z < t < 1)
+    beta_bps = tuple(sorted(set(bps) | set(draw(st.lists(inside, min_size=2, max_size=5)))))
+    targets = [prev.law_path().eval(t) for t in beta_bps]
+    n = len(beta_bps) - 2
+    moved = draw(st.integers(0, 2 ** n - 1))  # bit k - 1 moves vertex k: none, all, runs
+    for k in range(1, n + 1):
+        if moved >> (k - 1) & 1:  # toward a point the target does not hold whole
+            mu = targets[k]
+            point = draw(st.sampled_from([p for p, w in zip(space.points, mu.nums) if w < mu.den]))
+            targets[k] = mixture(mu, dirac(space, point), draw(fractions01(8).filter(bool)))
+    eps = draw(st.fractions(0, 1, max_denominator=8))
+    return prev, PolygonalPath(space, beta_bps, tuple(targets)), eps
+
+
 class TestReliftNear:
     def test_exact_law_path_reproduces_prev(self):
+        """Where prev already carries beta's law every point is kept, with no
+        max-flow, realization or midpoint evaluation; at eps = 0 the grid is
+        prev's own and the relift is prev."""
         rng = random.Random(31)
         space = gen.rand_space(rng, 3)
         beta = gen.rand_polygonal(rng, space, 4)
         prev = lift_polygonal(
             beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
         )
-        relifted, drift = relift_near(prev, prev.law_path(), Z)
+        refuse = mock.Mock(side_effect=AssertionError("not kept"))
+        with mock.patch.multiple(
+            lifting, prokhorov_coupling=refuse, realize_coupling=refuse, kyfan_rho=refuse
+        ):
+            relifted, drift = relift_near(prev, prev.law_path(), Z)
+            finer, finer_drift = relift_near(prev, prev.law_path(), F(1, 3))
         assert relifted == prev
-        assert drift == 0
+        assert drift == finer_drift == 0
+        assert finer.vertices == tuple(prev.eval(t) for t in finer.breakpoints)
+
+    def test_half_kept_piece_midpoint_sets_the_drift(self):
+        """A piece with one kept vertex is no restriction of prev: its
+        midpoint is evaluated, and here it sets the drift, above the gap."""
+        space = two_point_space(F(1, 2))
+        a, b = dirac(space, "a"), dirac(space, "b")
+        prev = lift_of(PolygonalPath(space, (Z, F(1)), (mixture(b, a, F(1, 24)), b)))
+        beta = PolygonalPath(
+            space, (Z, F(1, 2), F(1)), (mixture(b, a, F(1, 24)), mixture(b, a, F(1, 96)), b)
+        )
+        relifted, drift = relift_near(prev, beta, F(1))
+        assert relifted.vertices[0] == prev.vertices[0]
+        assert relifted.vertices[2] == prev.vertices[1]
+        assert prokhorov(law(prev.eval(F(1, 2))), beta.eval(F(1, 2))) == F(1, 96)
+        assert drift == F(1, 64)
+        assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
+        assert (relifted, drift) == relift_near_oracle(prev, beta, F(1))
+
+    @given(relift_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_keeping_matches_the_full_route(self, case):
+        prev, beta, eps = case
+        try:
+            expected = relift_near_oracle(prev, beta, eps)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as caught:
+                relift_near(prev, beta, eps)
+            assert str(caught.value) == str(exc)
+            return
+        relifted, drift = relift_near(prev, beta, eps)
+        assert (relifted, drift) == expected
+        assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
 
     def test_five_eps_bound(self):
         rng = random.Random(32)
