@@ -27,9 +27,9 @@ lifted iteratively, each round staying rho-close to the previous one
 quantity as an exact rational.  A relift keeps the previous value at
 each grid point where its law already equals the target, since that
 value is the match there, and runs a max-flow only at the other points.
-The segment lift from S(a) to S(b) is S restricted to [a, b], so a piece
-between two kept points is the previous lift itself and only the other
-pieces' midpoints are evaluated for the drift.
+The segment lift from S(a) to S(b) is S restricted to [a, b], so a
+relift stores only the previous breakpoints and points rematched or
+next to one, and evaluates midpoints only of pieces with a rematched end.
 """
 
 from __future__ import annotations
@@ -362,13 +362,15 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
     less than eps per piece.  A point where law(prev) already equals
     beta keeps prev's value, which is the match there: the optimal
     coupling of a law with itself is the diagonal, and realizing it
-    gives the variable back.
+    gives the variable back.  Stored are prev's breakpoints and the
+    points rematched or next to one.  A dropped point and the stored
+    points around it were all kept, with no breakpoint of prev between:
+    that stretch lies in one segment lift S of prev, and the segment
+    lift from S(a) to S(b) is S on [a, b], so the path is unchanged.
     Also returns the drift, max rho(prev, relifted) on certification_grid(relifted):
-    at a vertex it is the Prokhorov gap its coupling attains; midpoints are evaluated,
-    save on a piece whose two vertices were both kept.  The grid holds
-    every breakpoint of prev, so that piece lies in one segment lift S
-    of prev, and the segment lift from S(a) to S(b) is S restricted to
-    [a, b]: it equals prev all along the piece, and its rho is 0.
+    at a vertex it is the Prokhorov gap its coupling attains; midpoints are evaluated
+    on the pieces with a rematched end, each one grid cell wide; on
+    the others the relift is prev, at rho 0.
     """
     eps = Fraction(eps)
     if eps < ZERO:
@@ -397,10 +399,15 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
         drift = max(drift, gap)
         variables.append(realize_coupling(snapshot, witness))
     variables.append(snapshots[-1])
-    relifted = LiftedPath(prev.space, tuple(grid), tuple(variables))
-    for seg, lo, hi, x, y in zip(relifted.segments, grid, grid[1:], snapshots, snapshots[1:]):
-        if seg.x is not x or seg.y is not y:  # else both kept: seg restricts prev
-            drift = max(drift, kyfan_rho(prev.eval((lo + hi) / 2), seg.eval(Fraction(1, 2))))
+    # moved[k + 1]: point k was rematched; moved[k : k + 3] spans k and its neighbours
+    moved = [False, *(v is not x for v, x in zip(variables, snapshots)), False]
+    breaks = set(prev.breakpoints)
+    keep = [k for k, t in enumerate(grid) if t in breaks or any(moved[k : k + 3])]
+    relifted = LiftedPath(prev.space, *zip(*[(grid[k], variables[k]) for k in keep]))
+    for seg, j, k in zip(relifted.segments, keep, keep[1:]):
+        if moved[j + 1] or moved[k + 1]:  # one grid cell; else seg restricts prev
+            mid = (grid[j] + grid[k]) / 2
+            drift = max(drift, kyfan_rho(prev.eval(mid), seg.eval(Fraction(1, 2))))
     return relifted, drift
 
 

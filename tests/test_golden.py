@@ -5,11 +5,13 @@ subcommand in-process and compares the sha256 of its ``--out`` report
 with the digest recorded in ``golden/digests.json``.  The demo scripts
 are covered the same way: the stdout of ``demo_cube.py`` at each
 dimension, and each file ``demo_lift.py`` writes (its stdout names the
-output directory, so it is not compared).  Changes to the arithmetic
-must keep every report byte-identical.  After an intended
-change of output, record the digests again with
+output directory, so it is not compared).  A change to the arithmetic
+keeps every report byte-identical.  An intended change of output is
+recorded again with
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+and each digest key it changes is listed in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -452,8 +452,8 @@ def relift_cases(draw):
 class TestReliftNear:
     def test_exact_law_path_reproduces_prev(self):
         """Where prev already carries beta's law every point is kept, with no
-        max-flow, realization or midpoint evaluation; at eps = 0 the grid is
-        prev's own and the relift is prev."""
+        max-flow, realization or midpoint evaluation, and only prev's
+        breakpoints are stored: at any eps the relift is prev."""
         rng = random.Random(31)
         space = gen.rand_space(rng, 3)
         beta = gen.rand_polygonal(rng, space, 4)
@@ -466,9 +466,8 @@ class TestReliftNear:
         ):
             relifted, drift = relift_near(prev, prev.law_path(), Z)
             finer, finer_drift = relift_near(prev, prev.law_path(), F(1, 3))
-        assert relifted == prev
+        assert relifted == finer == prev
         assert drift == finer_drift == 0
-        assert finer.vertices == tuple(prev.eval(t) for t in finer.breakpoints)
 
     def test_half_kept_piece_midpoint_sets_the_drift(self):
         """A piece with one kept vertex is no restriction of prev: its
@@ -487,20 +486,30 @@ class TestReliftNear:
         assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
         assert (relifted, drift) == relift_near_oracle(prev, beta, F(1))
 
-    @given(relift_cases())
+    @given(relift_cases(), st.lists(fractions01(97), min_size=3, max_size=3))
     @settings(max_examples=80, deadline=None)
-    def test_keeping_matches_the_full_route(self, case):
+    def test_keeping_matches_the_full_route(self, case, times):
+        """The same path as the full route's, which stores every grid point,
+        from only prev's breakpoints and the points rematched or next to one."""
         prev, beta, eps = case
         try:
-            expected = relift_near_oracle(prev, beta, eps)
+            oracle, expected_drift = relift_near_oracle(prev, beta, eps)
         except PreconditionError as exc:
             with pytest.raises(PreconditionError) as caught:
                 relift_near(prev, beta, eps)
             assert str(caught.value) == str(exc)
             return
         relifted, drift = relift_near(prev, beta, eps)
-        assert (relifted, drift) == expected
+        assert drift == expected_drift
         assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
+        grid = oracle.breakpoints
+        mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
+        for t in (*grid, *mids, *times):
+            assert relifted.eval(t) == oracle.eval(t)
+        moved = [False, *(law(prev.eval(t)) != beta.eval(t) for t in grid), False]
+        assert relifted.breakpoints == tuple(
+            t for k, t in enumerate(grid) if t in prev.breakpoints or any(moved[k : k + 3])
+        )
 
     def test_five_eps_bound(self):
         rng = random.Random(32)
@@ -591,6 +600,18 @@ class TestLiftPath:
         assert cert.endpoint_ok == (True, True)
         assert lift.eval(Z) == x_start
         assert lift.eval(F(1)) == x_end
+
+    def test_relifts_store_no_vertex_prev_already_fixes(self):
+        """The demo_lift --seed 0 instance at tol 1/200 lifts to 150
+        segments; storing every point of each refined grid gave 15070."""
+        rng = random.Random(0)
+        space = gen.rand_space(rng, 3)
+        alpha = gen.rand_sampled(rng, space, max_lipschitz=4)
+        x_start = canonical_rv(alpha.eval(Z))
+        x_end = match_to_law(gen.rand_rv(rng, space), alpha.eval(F(1)))
+        lift, cert = lift_path(alpha, x_start, x_end, F(1, 200), 3, grid_n=65)
+        assert cert.endpoint_ok == (True, True)
+        assert len(lift.segments) <= 2 * 150
 
     def test_endpoint_mismatch(self):
         space = two_point_space()
