@@ -175,7 +175,8 @@ def cmd_relift(args):
         raise PreconditionError("relift expects a polygonal target path")
     eps = parse_frac(args.tol)
     relifted, drift = relift_near(prev, target, eps)
-    cert = verify_lift(relifted, target, grid_n=args.grid, decay_table=(drift,))
+    ends = (prev.vertices[0], prev.vertices[-1])  # a relift keeps prev's endpoint variables
+    cert = verify_lift(relifted, target, grid_n=args.grid, endpoints=ends, decay_table=(drift,))
     ok = cert.max_law_gap == ZERO and all(cert.endpoint_ok) and drift <= 5 * eps
     return _emit_lift(relifted, cert, ok, args.out)
 

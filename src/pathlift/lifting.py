@@ -24,12 +24,12 @@ variables, interior vertices chained by matching; an arbitrary Lipschitz
 path of measures is approximated by polygonals on uniform grids and
 lifted iteratively, each round staying rho-close to the previous one
 (the 5-epsilon rebuild), with a Certificate recording every verified
-quantity as an exact rational.  A relift keeps the previous value at
-each grid point where its law already equals the target, since that
-value is the match there, and runs a max-flow only at the other points.
-The segment lift from S(a) to S(b) is S restricted to [a, b], so a
-relift stores only the previous breakpoints and points rematched or
-next to one, and evaluates midpoints only of pieces with a rematched end.
+quantity as an exact rational.  A relift decides keep-or-rematch on
+laws alone: where the previous lift's law path equals the target at a
+grid point, its value is the match, and a max-flow runs elsewhere.  As
+the segment lift from S(a) to S(b) is S on [a, b], a relift stores only
+the old breakpoints and points rematched or next to one, evaluating the
+old lift only there and at midpoints of pieces with a rematched end.
 """
 
 from __future__ import annotations
@@ -359,14 +359,15 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
     prev is within eps of beta, and beta agrees with prev's endpoint
     laws exactly.  The endpoints of prev are kept; interior vertices are
     matches of prev to beta at breakpoints refined until prev oscillates
-    less than eps per piece.  A point where law(prev) already equals
-    beta keeps prev's value, which is the match there: the optimal
-    coupling of a law with itself is the diagonal, and realizing it
-    gives the variable back.  Stored are prev's breakpoints and the
-    points rematched or next to one.  A dropped point and the stored
-    points around it were all kept, with no breakpoint of prev between:
-    that stretch lies in one segment lift S of prev, and the segment
-    lift from S(a) to S(b) is S on [a, b], so the path is unchanged.
+    less than eps per piece.  Keep-or-rematch is decided on laws alone,
+    prev.law_path() against beta at each grid point: where they agree
+    prev's value is the match, since the optimal coupling of a law with
+    itself is the diagonal and realizing it gives the variable back.
+    Stored are prev's breakpoints and the points rematched or next to
+    one, and prev is evaluated only there.  A dropped point and the
+    stored points around it were all kept, with no breakpoint of prev
+    between: that stretch lies in one segment lift S of prev, and the
+    segment lift from S(a) to S(b) is S on [a, b], so the path is unchanged.
     Also returns the drift, max rho(prev, relifted) on certification_grid(relifted):
     at a vertex it is the Prokhorov gap its coupling attains; midpoints are evaluated
     on the pieces with a rematched end, each one grid cell wide; on
@@ -377,33 +378,29 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
         raise PreconditionError("closeness budget must be nonnegative")
     same_space(prev.space, beta.space)
     grid = _refined_grid(prev, beta, eps)
-    snapshots = [prev.eval(t) for t in grid]
-    if beta.vertices[0] != law(snapshots[0]):
+    have = prev.law_path()
+    if beta.vertices[0] != have.vertices[0]:
         raise PreconditionError("target path differs from prev's law at t = 0")
-    if beta.vertices[-1] != law(snapshots[-1]):
+    if beta.vertices[-1] != have.vertices[-1]:
         raise PreconditionError("target path differs from prev's law at t = 1")
-    # the endpoint gaps are 0 by the checks above; each interior point's
-    # coupling serves both the budget check and the match
-    variables = [snapshots[0]]
-    drift = ZERO
-    for t, snapshot in zip(grid[1:-1], snapshots[1:-1]):
-        have, target = law(snapshot), beta.eval(t)
-        if have == target:
-            variables.append(snapshot)
-            continue
-        gap, witness = prokhorov_coupling(have, target)
-        if gap > eps:
-            raise PreconditionError(
-                f"law gap {gap} at t = {t} exceeds the declared budget {eps}"
-            )
-        drift = max(drift, gap)
-        variables.append(realize_coupling(snapshot, witness))
-    variables.append(snapshots[-1])
-    # moved[k + 1]: point k was rematched; moved[k : k + 3] spans k and its neighbours
-    moved = [False, *(v is not x for v, x in zip(variables, snapshots)), False]
+    # moved[k + 1]: interior point k is rematched; moved[k : k + 3] spans k and its neighbours
+    moved = [False, False, *(have.eval(t) != beta.eval(t) for t in grid[1:-1]), False, False]
     breaks = set(prev.breakpoints)
     keep = [k for k, t in enumerate(grid) if t in breaks or any(moved[k : k + 3])]
-    relifted = LiftedPath(prev.space, *zip(*[(grid[k], variables[k]) for k in keep]))
+    variables, drift = [], ZERO
+    for k in keep:
+        t = grid[k]
+        value = prev.eval(t)
+        if moved[k + 1]:  # one coupling serves both the budget check and the match
+            gap, witness = prokhorov_coupling(law(value), beta.eval(t))
+            if gap > eps:
+                raise PreconditionError(
+                    f"law gap {gap} at t = {t} exceeds the declared budget {eps}"
+                )
+            drift = max(drift, gap)
+            value = realize_coupling(value, witness)
+        variables.append(value)
+    relifted = LiftedPath(prev.space, tuple(grid[k] for k in keep), tuple(variables))
     for seg, j, k in zip(relifted.segments, keep, keep[1:]):
         if moved[j + 1] or moved[k + 1]:  # one grid cell; else seg restricts prev
             mid = (grid[j] + grid[k]) / 2

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pathlift import canonical_rv, dirac, lift_polygonal, validate_space
+from pathlift import SimpleRandomVariable, canonical_rv, dirac, law, lift_polygonal, validate_space
 from pathlift import cli, gen, lifting
 from pathlift.cli import build_parser, main
-from pathlift.lifting import PolygonalPath, SampledPath
+from pathlift.lifting import LiftedPath, PolygonalPath, SampledPath
 from pathlift.serialize import (
     SPACES_READ,
     blocks_to_obj,
@@ -268,6 +268,23 @@ class TestVerifyAndRelift:
         assert main(["relift", lf, pf, "--tol", "1/4", "--grid", "9"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["max_law_gap"] == "0/1"
+
+    def test_relift_certifies_endpoint_variables_not_laws(self, tmp_path, capsys, monkeypatch):
+        """A relift must keep prev's endpoint variables: one that swaps them for
+        others of the same laws fails endpoint_ok and exits 3."""
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        x = SimpleRandomVariable.from_slabs(space, 2, [(1, 0), (2, 1)])
+        flipped = SimpleRandomVariable.from_slabs(space, 2, [(1, 1), (2, 0)])
+        assert law(x) == law(flipped) and x != flipped
+        beta = PolygonalPath(space, (Z, F(1)), (law(x), law(x)))
+        lf = write(tmp_path / "lift.json", lift_to_obj(lift_polygonal(beta, x, x)))
+        pf = write(tmp_path / "path.json", polygonal_to_obj(beta))
+        swapped = LiftedPath(space, (Z, F(1)), (flipped, flipped))
+        monkeypatch.setattr(cli, "relift_near", lambda prev, target, eps: (swapped, Z))
+        assert main(["relift", lf, pf, "--tol", "1/4", "--grid", "9"]) == 3
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["max_law_gap"] == "0/1"
+        assert cert["endpoint_ok"] == [False, False]
 
 
 class TestParserOnce:

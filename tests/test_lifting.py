@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 from bisect import bisect_left, bisect_right
@@ -449,11 +450,24 @@ def relift_cases(draw):
     return prev, PolygonalPath(space, beta_bps, tuple(targets)), eps
 
 
+@contextlib.contextmanager
+def lifted_evals():
+    """Every (path, t) at which LiftedPath.eval runs inside the block."""
+    calls, original = [], LiftedPath.eval
+
+    def record(path, t):
+        calls.append((path, t))
+        return original(path, t)
+
+    with mock.patch.object(LiftedPath, "eval", autospec=True, side_effect=record):
+        yield calls
+
+
 class TestReliftNear:
     def test_exact_law_path_reproduces_prev(self):
         """Where prev already carries beta's law every point is kept, with no
         max-flow, realization or midpoint evaluation, and only prev's
-        breakpoints are stored: at any eps the relift is prev."""
+        breakpoints are stored or evaluated: at any eps the relift is prev."""
         rng = random.Random(31)
         space = gen.rand_space(rng, 3)
         beta = gen.rand_polygonal(rng, space, 4)
@@ -461,13 +475,14 @@ class TestReliftNear:
             beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
         )
         refuse = mock.Mock(side_effect=AssertionError("not kept"))
-        with mock.patch.multiple(
+        with lifted_evals() as calls, mock.patch.multiple(
             lifting, prokhorov_coupling=refuse, realize_coupling=refuse, kyfan_rho=refuse
         ):
             relifted, drift = relift_near(prev, prev.law_path(), Z)
             finer, finer_drift = relift_near(prev, prev.law_path(), F(1, 3))
         assert relifted == finer == prev
         assert drift == finer_drift == 0
+        assert calls and all(path is prev and t in prev.breakpoints for path, t in calls)
 
     def test_half_kept_piece_midpoint_sets_the_drift(self):
         """A piece with one kept vertex is no restriction of prev: its
@@ -490,7 +505,9 @@ class TestReliftNear:
     @settings(max_examples=80, deadline=None)
     def test_keeping_matches_the_full_route(self, case, times):
         """The same path as the full route's, which stores every grid point,
-        from only prev's breakpoints and the points rematched or next to one."""
+        from only prev's breakpoints and the points rematched or next to one;
+        prev is evaluated only at those and at midpoints of pieces with a
+        rematched end."""
         prev, beta, eps = case
         try:
             oracle, expected_drift = relift_near_oracle(prev, beta, eps)
@@ -499,7 +516,8 @@ class TestReliftNear:
                 relift_near(prev, beta, eps)
             assert str(caught.value) == str(exc)
             return
-        relifted, drift = relift_near(prev, beta, eps)
+        with lifted_evals() as calls:
+            relifted, drift = relift_near(prev, beta, eps)
         assert drift == expected_drift
         assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
         grid = oracle.breakpoints
@@ -510,6 +528,9 @@ class TestReliftNear:
         assert relifted.breakpoints == tuple(
             t for k, t in enumerate(grid) if t in prev.breakpoints or any(moved[k : k + 3])
         )
+        stored, rematched = relifted.breakpoints, {t for t, m in zip(grid, moved[1:]) if m}
+        halves = {(a + b) / 2 for a, b in zip(stored, stored[1:]) if {a, b} & rematched}
+        assert all(path is prev and (t in stored or t in halves) for path, t in calls)
 
     def test_five_eps_bound(self):
         rng = random.Random(32)
