@@ -33,7 +33,6 @@ from .prokhorov import (
     prokhorov_subsets,
 )
 from .randomvars import kyfan_rho, law, match_to_law
-from .selftest import run_selftest
 from .serialize import (
     SPACES_READ,
     blocks_to_obj,
@@ -217,8 +216,15 @@ def cmd_cube(args):
     texts = [[frac_str(t) for t in point] for point in points]
     values = [lift.eval(point) for point in points]
     gaps = [frac_str(prokhorov(law(v), g_eval(interp, p))) for v, p in zip(values, points)]
+
+    def rho(k, s):
+        # stride 1 is the last axis: both ends are values of the segment lift at k's prefix
+        if s == 1:
+            return lift.segment(points[k][:-1]).rho_between(points[k][-1], points[k + 1][-1])
+        return kyfan_rho(values[k], values[k + s])
+
     adjacent = [
-        {"from": texts[k], "to": texts[k + s], "rho": frac_str(kyfan_rho(values[k], values[k + s]))}
+        {"from": texts[k], "to": texts[k + s], "rho": frac_str(rho(k, s))}
         for k, idx in enumerate(indices)
         for i, s in zip(idx, strides)
         if i + 1 < per_axis
@@ -235,6 +241,7 @@ def cmd_cube(args):
 
 
 def cmd_selftest(args):
+    from .selftest import run_selftest  # here, so no other command compiles the suites
     report, ok = run_selftest(args.seed)
     sys.stdout.write(report)
     return 0 if ok else 3

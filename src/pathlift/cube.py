@@ -7,8 +7,8 @@ at (t_1, ..., t_k) is the segment lift from the value at
 (t_1, ..., t_{k-1}) to the canonical variable of the next corner, taken
 at t_k; the empty prefix holds the canonical variable of the first
 corner.  Each prefix point keeps its segment lift, which serves every
-point below it.  The pointwise law equals the interpolation exactly at
-every rational point.
+point below it: rho along the last axis is its closed form ``rho_between``.
+The pointwise law equals the interpolation exactly at every rational point.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import PreconditionError
-from .lifting import SegmentLift
+from .lifting import SegmentLift, _time
 from .randomvars import SimpleRandomVariable, canonical_rv
-from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, mixture, same_space
+from .spaces import FiniteMetricSpace, Measure, mixture, same_space
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,14 @@ class CubeInterpolation:
 
 
 def _check_point(interp: CubeInterpolation, ts) -> tuple[Fraction, ...]:
-    ts = tuple(Fraction(t) for t in ts)
+    ts = tuple(map(_time, ts))
     if len(ts) != interp.dimension:
         raise PreconditionError(
             f"expected {interp.dimension} coordinates, got {len(ts)}"
         )
     for t in ts:
-        if t < ZERO or t > ONE:
+        p, q = t.as_integer_ratio()
+        if p < 0 or p > q:
             raise PreconditionError(f"coordinate {t} outside [0, 1]")
     return ts
 
@@ -78,12 +79,12 @@ class CubeLift:
         """The segment lift of each prefix point queried so far."""
         return {}
 
-    def _segment(self, prefix: tuple[Fraction, ...]) -> SegmentLift:
-        """The lift along the next axis at a checked prefix point: from the
-        value there (the first corner's at the empty prefix) to the next corner."""
+    def segment(self, prefix: tuple[Fraction, ...]) -> SegmentLift:
+        """The lift along the next axis at a prefix point of Fractions in [0, 1]:
+        from the value there (the first corner's at the empty prefix) to the next corner."""
         seg = self._segments.get(prefix)
         if seg is None:
-            start = self._segment(prefix[:-1]).eval(prefix[-1]) if prefix else self.corner_rvs[0]
+            start = self.segment(prefix[:-1]).eval(prefix[-1]) if prefix else self.corner_rvs[0]
             seg = self._segments[prefix] = SegmentLift(start, self.corner_rvs[len(prefix) + 1])
         return seg
 
@@ -91,4 +92,4 @@ class CubeLift:
         """Lifting twin of g_eval: the segment lift at the point's prefix,
         taken at its last coordinate."""
         ts = _check_point(self.interp, ts)
-        return self._segment(ts[:-1]).eval(ts[-1])
+        return self.segment(ts[:-1]).eval(ts[-1])

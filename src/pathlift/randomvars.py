@@ -12,11 +12,11 @@ variables scaled to the lcm of their dens, reading and yielding the
 integer measures and couplings of ``spaces``: ``law``, ``joint_coupling``
 (over the common ``refinement``), ``realize_coupling`` and
 ``canonical_rv``.  ``kyfan_rho`` is the metric of convergence in
-probability; ``match_to_law`` rearranges a variable to hit a target law
-at exactly the Prokhorov distance between the laws.  Variables are
+probability, swept on the refinement's integer cell masses with no
+coupling built; ``match_to_law`` rearranges a variable to hit a target
+law at exactly the Prokhorov distance between the laws.  Variables are
 built from slabs only: ``serialize`` reads the JSON blocks straight to
-slabs.  The per-point ``blocks`` (IntervalSets) are a derived view for
-the independent oracles.
+slabs; the per-point ``blocks`` (IntervalSets) serve the independent oracles.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .omega import IntervalSet
-from .prokhorov import kyfan_functional, prokhorov_coupling
+from .prokhorov import _kyfan_from_tails, _level_tails, prokhorov_coupling
 from .spaces import CouplingMatrix, FiniteMetricSpace, Measure, same_space
 
 # One piece of a common refinement: (right end over its den, label in x, label in y).
@@ -144,8 +144,13 @@ def joint_coupling(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Coupling
 
 
 def kyfan_rho(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Fraction:
-    """inf{eps > 0 : P(d(x, y) >= eps) <= eps}, exact."""
-    return kyfan_functional(joint_coupling(x, y))
+    """inf{eps > 0 : P(d(x, y) >= eps) <= eps}, exact; kyfan_functional(joint_coupling(x, y))."""
+    same_space(x.space, y.space)
+    den, pieces = refinement(x, y)
+    masses = cell_masses(x.space.size, pieces)
+    if any(w < 0 for row in masses for w in row) or sum(map(sum, masses)) != den:
+        raise InvariantError("joint cell masses of two variables do not sum to 1")
+    return _kyfan_from_tails(x.space, _level_tails(x.space.distance_levels, masses), den)
 
 
 def realize_coupling(x: SimpleRandomVariable, pi: CouplingMatrix) -> SimpleRandomVariable:

@@ -4,6 +4,8 @@ import functools
 import io
 import json
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +30,8 @@ from pathlift.serialize import (
     space_to_obj,
     weights_to_obj,
 )
+
+from helpers import subprocess_env
 
 F = Fraction
 Z = F(0)
@@ -413,6 +417,17 @@ class TestCubeCommand:
         assert all(g == "0/1" for g in doc["law_gap"])
         assert len(doc["adjacent_rho"]) == 4
 
+    @pytest.mark.parametrize("dim, grid", [(1, 5), (2, 3), (2, 5), (3, 2), (3, 5)])
+    def test_kyfan_rho_runs_off_the_last_axis_only(self, tmp_path, monkeypatch, dim, grid):
+        rng = random.Random(67)
+        space = gen.rand_space(rng, 4)
+        corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(dim + 1)]
+        cf = write(tmp_path / "corners.json", {"space": space_to_obj(space), "corners": corners})
+        calls, kyfan_rho = [], cli.kyfan_rho
+        monkeypatch.setattr(cli, "kyfan_rho", lambda x, y: calls.append(x) or kyfan_rho(x, y))
+        assert main(["cube", cf, "--grid", str(grid), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == (dim - 1) * (grid - 1) * grid ** (dim - 1)
+
     def test_dimension_cap(self, tmp_path, capsys):
         rng = random.Random(66)
         space = gen.rand_space(rng, 2)
@@ -614,6 +629,12 @@ class TestInputContract:
 
 
 class TestSelftestCommand:
+    def test_importing_the_cli_leaves_the_suites_out(self):
+        code = "import sys, pathlift.cli; print('pathlift.selftest' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env=subprocess_env())
+        assert result.stdout == "False\n"
+
     def test_passes_and_prints_suites(self, capsys):
         assert main(["selftest", "--seed", "0"]) == 0
         out = capsys.readouterr().out

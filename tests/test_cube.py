@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,8 @@ from pathlift import (
 )
 from pathlift import SegmentLift, gen
 from pathlift import cube
+from pathlift.cli import main
+from pathlift.serialize import dumps, space_to_obj, weights_to_obj
 
 from helpers import cube_chain_oracle
 
@@ -60,6 +63,17 @@ class TestGEval:
             g_eval(interp, (F(1, 2), F(1, 2)))
         with pytest.raises(PreconditionError):
             g_eval(interp, (F(3, 2),))
+
+    def test_point_check_texts_and_accepted_types(self):
+        space = three_point_space()
+        interp = CubeInterpolation(space, tuple(dirac(space, p) for p in "abc"))
+        assert cube._check_point(interp, ("1/2", 1)) == (F(1, 2), F(1))
+        assert cube._check_point(interp, (0, F(3, 4))) == (Z, F(3, 4))
+        with pytest.raises(PreconditionError, match=r"^expected 2 coordinates, got 3$"):
+            cube._check_point(interp, (0, 0, 0))
+        for bad, text in (((F(3, 2), 0), "3/2"), ((0, "-1/3"), "-1/3"), ((2, 0), "2")):
+            with pytest.raises(PreconditionError, match=rf"^coordinate {text} outside \[0, 1\]$"):
+                cube._check_point(interp, bad)
 
 
 class TestGLiftEval:
@@ -124,6 +138,27 @@ class TestGLiftEval:
                     step = point[:a] + (point[a] + F(1, 3),) + point[a + 1 :]
                     rho = kyfan_rho(lift.eval(point), lift.eval(step))
                     assert 0 <= rho <= 1
+
+
+class TestCubeReport:
+    def test_every_adjacent_entry_is_rho_of_its_two_values(self, tmp_path):
+        """Last-axis entries come from the shared segment lift's closed
+        form, the others from kyfan_rho: both equal rho by evaluation."""
+        rng = random.Random(11)
+        for dim, grid in product((1, 2, 3), (2, 3, 4, 5)):
+            space = gen.rand_space(rng, rng.randint(2, 5))
+            corners = tuple(gen.rand_measure(rng, space) for _ in range(dim + 1))
+            path = tmp_path / f"corners{dim}-{grid}.json"
+            path.write_text(dumps({"space": space_to_obj(space),
+                                   "corners": [weights_to_obj(c) for c in corners]}))
+            out = tmp_path / f"report{dim}-{grid}.json"
+            assert main(["cube", str(path), "--grid", str(grid), "--out", str(out)]) == 0
+            entries = json.loads(out.read_text())["adjacent_rho"]
+            assert len(entries) == dim * (grid - 1) * grid ** (dim - 1)
+            lift = CubeLift(CubeInterpolation(space, corners))
+            for entry in entries:
+                ends = (tuple(map(F, entry[key])) for key in ("from", "to"))
+                assert F(entry["rho"]) == kyfan_rho(*map(lift.eval, ends))
 
 
 class TestPrefixTree:

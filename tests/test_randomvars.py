@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     complement,
@@ -12,6 +13,7 @@ from helpers import (
     from_pairs,
     full,
     measure,
+    metric_spaces,
     oracle_canonical,
     oracle_cells,
     oracle_joint,
@@ -19,9 +21,12 @@ from helpers import (
     oracle_realize,
     oracle_transfer,
     rv_from_blocks,
+    rvs_on,
     space_with,
 )
+from pathlift import randomvars
 from pathlift import (
+    InvariantError,
     LiftedPath,
     Measure,
     PreconditionError,
@@ -30,6 +35,7 @@ from pathlift import (
     canonical_rv,
     dirac,
     joint_coupling,
+    kyfan_functional,
     kyfan_rho,
     law,
     match_to_law,
@@ -156,6 +162,22 @@ class TestKyfanRho:
     def test_matches_scan_oracle(self, bundle):
         _, x, y = bundle
         assert kyfan_rho(x, y) == rho_scan_oracle(x, y)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_equals_the_functional_of_the_joint_coupling(self, data):
+        space = data.draw(metric_spaces(max_size=8))
+        x, y = (data.draw(rvs_on(space, den=data.draw(st.integers(2, 60)), max_slabs=10))
+                for _ in range(2))
+        assert kyfan_rho(x, y) == kyfan_functional(joint_coupling(x, y))
+
+    def test_cell_masses_off_total_mass_are_an_invariant_error(self, monkeypatch):
+        space = two_point_space(F(1))
+        x = canonical_rv(Measure.from_weights(space, (F(1, 3), F(2, 3))))
+        masses = randomvars.cell_masses
+        monkeypatch.setattr(randomvars, "cell_masses", lambda m, pieces: masses(m, pieces[:-1]))
+        with pytest.raises(InvariantError, match="do not sum to 1"):
+            kyfan_rho(x, x)
 
     @given(space_with(n_rvs=3))
     @settings(max_examples=40, deadline=None)
