@@ -12,24 +12,25 @@ integers over den * q, with a "mass still to move" counter per cell,
 merging equal neighbours.  rho between two local times is the Ky Fan
 sweep of cached per-level tail masses scaled by their distance.
 
-A polygonal path of measures and its lift have one shape: breakpoints
-0 = t_0 < ... < t_n = 1 and one vertex per breakpoint, a measure or a
-random variable, checked once for both.  Paths own time, as integer
-ticks over the lcm of their breakpoints: one rule maps t = p / r to its
-piece (the last tick k <= p * den // r) and its local time there, which
-the measure path hands to ``mixture`` and the lift to the segment lift
-X_k -> X_{k+1} of that piece.  Grids are tick sets, each point a
-Fraction once.  Polygonals are lifted with prescribed endpoint
-variables, interior vertices chained by matching; an arbitrary Lipschitz
-path of measures is approximated by polygonals on uniform grids and
-lifted iteratively, each round staying rho-close to the previous one
-(the 5-epsilon rebuild), with a Certificate recording every verified
-quantity as an exact rational.  A relift decides keep-or-rematch on
-laws alone: where the previous lift's law path equals the target at a
-grid point, its value is the match, and a max-flow runs elsewhere.  As
-the segment lift from S(a) to S(b) is S on [a, b], a relift stores only
-the old breakpoints and points rematched or next to one, evaluating the
-old lift only there and at midpoints of pieces with a rematched end.
+A polygonal path of measures and its lift inherit one record,
+``_Polygonal``: breakpoints 0 = t_0 < ... < t_n = 1 and one vertex per
+breakpoint, a measure or a random variable, checked once for both.
+Paths own time: ``_unit``, the one time rule, reads t in [0, 1] as a
+reduced pair p / r; over the lcm den of the breakpoints, t lies in the
+piece of the last tick k <= p * den // r, whose mixture or segment lift
+takes t's local time there.  Grids are tick sets, each point a Fraction
+once.  ``lift_polygonal`` alone checks the endpoint variables against
+the path; interior vertices are chained by matching.  A Lipschitz path
+of measures is approximated by polygonals on uniform grids, which
+sample it at 0 and 1 exactly, and lifted iteratively, each round
+staying rho-close to the previous one (the 5-epsilon rebuild), with a
+Certificate recording every verified quantity as an exact rational.
+A relift decides keep-or-rematch on laws alone: where the previous
+lift's law path equals the target at a grid point, its value is the
+match, and a max-flow runs elsewhere.  As the segment lift from S(a) to
+S(b) is S on [a, b], a relift stores only the old breakpoints and points
+rematched or next to one, evaluating the old lift only there and at
+midpoints of pieces with a rematched end.
 """
 
 from __future__ import annotations
@@ -187,19 +188,14 @@ class _Polygonal:
     def locate(self, t: Fraction) -> tuple[int, Fraction]:
         """The piece [t_i, t_{i+1}] that holds t in [0, 1] (the last holds 1),
         and t's local time (t - t_i) / (t_{i+1} - t_i) in it: (i, local time)."""
-        p, r = _time(t).as_integer_ratio()
-        if p < 0 or p > r:
-            raise PreconditionError(f"time {Fraction(p, r)} outside [0, 1]")
+        p, r = _unit(t)
         den, ticks = self.ticks
         i = min(bisect_right(ticks, p * den // r), len(ticks) - 1) - 1
         return i, Fraction(p * den - ticks[i] * r, (ticks[i + 1] - ticks[i]) * r)
 
 
-@dataclass(frozen=True)
 class PolygonalPath(_Polygonal):
     """Piecewise-affine path of measures with prescribed vertices."""
-
-    vertices: tuple[Measure, ...]
 
     def eval(self, t: Fraction) -> Measure:
         i, s = self.locate(t)
@@ -218,16 +214,12 @@ class SampledPath:
     """
 
     def __init__(
-        self,
-        space: FiniteMetricSpace,
-        fn: Callable[[Fraction], Measure],
-        lipschitz: Fraction,
-        backbone: "PolygonalPath | None" = None,
+        self, space: FiniteMetricSpace, fn: Callable[[Fraction], Measure], lipschitz: Fraction
     ):
         self.space = space
         self.fn = fn
         self.lipschitz = Fraction(lipschitz)
-        self.backbone = backbone
+        self.backbone: PolygonalPath | None = None  # set by from_polygonal only
         if self.lipschitz < ZERO:
             raise PreconditionError("Lipschitz constant must be nonnegative")
         self._times: list[Fraction] = []
@@ -237,19 +229,19 @@ class SampledPath:
     def from_polygonal(
         cls, beta: PolygonalPath, lipschitz: Fraction | None = None
     ) -> "SampledPath":
-        """Wrap a polygonal; the default modulus max_i 1/(t_{i+1} - t_i)
-        is always valid because a mixture moves at most |s - t| / length
-        of mass per segment."""
+        """Wrap a polygonal, kept as the backbone; the default modulus
+        max_i 1/(t_{i+1} - t_i) is always valid because a mixture moves at
+        most |s - t| / length of mass per segment."""
         if lipschitz is None:
             den, ticks = beta.ticks
             lipschitz = Fraction(den, min(hi - lo for lo, hi in zip(ticks, ticks[1:])))
-        return cls(beta.space, beta.eval, lipschitz, backbone=beta)
+        path = cls(beta.space, beta.eval, lipschitz)
+        path.backbone = beta
+        return path
 
     def eval(self, t: Fraction) -> Measure:
         t = _time(t)
-        p, r = t.numerator, t.denominator
-        if p < 0 or p > r:
-            raise PreconditionError(f"time {t} outside [0, 1]")
+        p, r = _unit(t)
         cached = self._values.get(t)
         if cached is not None:
             return cached
@@ -276,15 +268,9 @@ class SampledPath:
         return value
 
 
-MeasurePath = PolygonalPath | SampledPath
-
-
-@dataclass(frozen=True)
 class LiftedPath(_Polygonal):
     """Polygonal path of random variables: vertex X_k at breakpoint t_k,
     joined to X_{k+1} on [t_k, t_{k+1}] by their segment lift."""
-
-    vertices: tuple[SimpleRandomVariable, ...]
 
     @cached_property
     def segments(self) -> tuple[SegmentLift, ...]:
@@ -445,7 +431,7 @@ class Certificate:
 
 def verify_lift(
     lift: LiftedPath,
-    target: MeasurePath,
+    target: PolygonalPath | SampledPath,
     grid_n: int = DEFAULT_GRID,
     endpoints: tuple[SimpleRandomVariable, SimpleRandomVariable] | None = None,
     decay_table: tuple[Fraction, ...] = (),
@@ -526,15 +512,9 @@ def lift_path(
         raise PreconditionError("at least one iteration is required")
     if grid_n < 2:  # checked again by verify_lift, but before any round runs
         raise PreconditionError("grid needs at least 2 points")
-    same_space(alpha.space, x_start.space)
-    same_space(alpha.space, x_end.space)
-    if law(x_start) != alpha.eval(ZERO):
-        raise PreconditionError("left endpoint law differs from the path at 0")
-    if law(x_end) != alpha.eval(ONE):
-        raise PreconditionError("right endpoint law differs from the path at 1")
     eps, _ = decay_budgets(tol, iterations)
     beta = approximate_polygonal(alpha, eps[0])
-    lift = lift_polygonal(beta, x_start, x_end)
+    lift = lift_polygonal(beta, x_start, x_end)  # checks endpoints: beta(0), beta(1) are alpha's
     decay = []
     for n in range(1, iterations):
         beta = approximate_polygonal(alpha, eps[n])

@@ -227,7 +227,7 @@ def path_from_obj(obj: Any) -> PolygonalPath | SampledPath:
             backbone = table_polygonal(obj["breakpoints"], obj["vertices"])
         else:
             raise PreconditionError("sampled path needs samples or breakpoints/vertices")
-        return SampledPath(space, backbone.eval, lipschitz, backbone=backbone)
+        return SampledPath.from_polygonal(backbone, lipschitz)
     raise PreconditionError(f'unknown path kind {kind!r}')
 
 
@@ -328,9 +328,12 @@ def load_json(path: str) -> Any:
 
 def write_json_atomic(path: str, obj: Any) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # read by setting and restoring: the CLI is single-threaded
+    os.umask(umask)
     handle, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as out:
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
             out.write(dumps(obj))
         os.replace(tmp, path)
     except BaseException:

@@ -20,11 +20,13 @@ from pathlift import (
     LiftedPath,
     Measure,
     PreconditionError,
+    SampledPath,
     SegmentLift,
     SimpleRandomVariable,
     canonical_rv,
     kyfan_rho,
     law,
+    mixture,
     prokhorov_coupling,
     realize_coupling,
     validate_space,
@@ -439,6 +441,20 @@ def relift_near_oracle(prev, beta, eps: Fraction) -> tuple[LiftedPath, Fraction]
     for seg, lo, hi in zip(relifted.segments, grid, grid[1:]):
         drift = max(drift, kyfan_rho(prev.eval((lo + hi) / 2), seg.eval(Fraction(1, 2))))
     return relifted, drift
+
+
+def bezier_path(m0: Measure, m1: Measure, m2: Measure) -> SampledPath:
+    """The quadratic Bezier curve of measures (1-t)^2 m0 + 2t(1-t) m1 + t^2 m2,
+    exact at every t by de Casteljau.  Its modulus L = 2 max(TV(m0, m1),
+    TV(m1, m2)) is valid: the curve's TV speed is at most L (the Bernstein
+    derivative bound), and q <= TV."""
+    def tv(mu, nu):
+        return sum(abs(a - b) for a, b in zip(mu.weights, nu.weights)) / 2
+
+    def fn(t):
+        return mixture(mixture(m0, m1, t), mixture(m1, m2, t), t)
+
+    return SampledPath(m0.space, fn, 2 * max(tv(m0, m1), tv(m1, m2)))
 
 
 def verify_grid_oracle(grid_n: int, *breakpoint_sets) -> list[Fraction]:

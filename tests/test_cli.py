@@ -3,7 +3,9 @@ import copy
 import functools
 import io
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -81,6 +83,18 @@ class TestProkhorovCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["q_subsets"] is None
         assert "disabled" in doc["subsets_note"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_out_file_gets_the_mode_open_gives(self, tmp_path, crossing_pair, umask, mode):
+        _, _, _, mu_file, nu_file = crossing_pair
+        out = tmp_path / "report.json"
+        previous = os.umask(umask)
+        try:
+            assert main(["prokhorov", mu_file, nu_file, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
     def test_parse_error_points_to_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import random
 import re
 from bisect import bisect_left, bisect_right
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bezier_path,
     breakpoint_tuples,
     fractions01,
     measures_on,
@@ -41,7 +43,9 @@ from pathlift import (
     verify_lift,
 )
 from pathlift import gen, lifting
-from pathlift.lifting import SegmentLift, certification_grid, decay_budgets, sup_rho_on_grid
+from pathlift.lifting import (
+    SegmentLift, _Polygonal, certification_grid, decay_budgets, sup_rho_on_grid
+)
 
 F = Fraction
 Z = F(0)
@@ -79,6 +83,26 @@ class TestPathValidation:
         with pytest.raises(PreconditionError) as got:
             kind(two_point_space(), breakpoints, tuple(vertex(d) for d in distances))
         assert str(got.value) == error
+
+    @pytest.mark.parametrize("kind", [PolygonalPath, LiftedPath], ids=["polygonal", "lifted"])
+    def test_one_record(self, kind):
+        """Both path classes inherit _Polygonal's fields and generated methods:
+        equality and hashing by class and fields, repr by subclass name, frozen."""
+        assert "__init__" not in vars(kind)
+        assert dataclasses.fields(kind) == dataclasses.fields(_Polygonal)
+        space = two_point_space()
+        mu = dirac(space, "a")
+        vertices = (mu, mu) if kind is PolygonalPath else (canonical_rv(mu),) * 2
+        path, again = (kind(space, (Z, F(1)), vertices) for _ in range(2))
+        assert path == again and path is not again
+        assert hash(path) == hash(again) == hash((space, (Z, F(1)), vertices))
+        assert repr(path) == (
+            f"{kind.__name__}(space={space!r}, breakpoints={(Z, F(1))!r}, vertices={vertices!r})"
+        )
+        other = LiftedPath if kind is PolygonalPath else PolygonalPath
+        assert path != other(space, (Z, F(1)), vertices)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.vertices = vertices
 
 
 class TestPolygonalEval:
@@ -302,6 +326,14 @@ class TestLiftPolygonal:
 
 
 class TestSampledPath:
+    def test_only_from_polygonal_attaches_a_backbone(self):
+        space = two_point_space()
+        beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "b")))
+        assert SampledPath(space, beta.eval, F(1)).backbone is None
+        assert SampledPath.from_polygonal(beta).backbone is beta
+        with pytest.raises(TypeError):
+            SampledPath(space, beta.eval, F(1), backbone=beta)
+
     def test_lipschitz_violation_detected(self):
         space = two_point_space()
         mu, nu = dirac(space, "a"), dirac(space, "b")
@@ -649,6 +681,42 @@ class TestLiftPath:
         x = canonical_rv(dirac(space, "a"))
         with pytest.raises(PreconditionError):
             lift_path(alpha, x, x, Z, 2)
+
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+class TestCurvedPaths:
+    """Quadratic Bezier curves of measures, exact at every time: nearly every
+    point of a relift is rematched, and a lift can be checked off its grids."""
+
+    @given(space_with(n_measures=3), st.tuples(*(st.integers(1, p - 1) for p in PRIMES)))
+    @settings(max_examples=12, deadline=None)
+    def test_lift_path_certificate_and_off_grid_gaps(self, bundle, nums):
+        _, m0, m1, m2 = bundle
+        alpha, tol = bezier_path(m0, m1, m2), F(1, 25)
+        x_start, x_end = canonical_rv(m0), canonical_rv(m2)
+        lift, cert = lift_path(alpha, x_start, x_end, tol, 3, grid_n=17)
+        _, budgets = decay_budgets(tol, 3)
+        assert cert.max_law_gap <= tol
+        assert cert.endpoint_ok == (True, True)
+        assert all(d <= b for d, b in zip(cert.decay_table, budgets))
+        for t in (F(k, p) for k, p in zip(nums, PRIMES)):
+            assert t not in cert.grid
+            assert prokhorov(law(lift.eval(t)), alpha.eval(t)) <= tol
+
+    @given(space_with(n_measures=3))
+    @settings(max_examples=12, deadline=None)
+    def test_relift_near_matches_the_full_route(self, bundle):
+        _, m0, m1, m2 = bundle
+        alpha = bezier_path(m0, m1, m2)
+        prev = lift_of(approximate_polygonal(alpha, F(1, 5)))
+        beta = approximate_polygonal(alpha, F(1, 25))
+        oracle, expected_drift = relift_near_oracle(prev, beta, F(6, 25))
+        relifted, drift = relift_near(prev, beta, F(6, 25))
+        assert drift == expected_drift
+        for t in oracle.breakpoints:
+            assert relifted.eval(t) == oracle.eval(t)
 
 
 class TestVerifyLift:

@@ -380,6 +380,23 @@ class TestPaths:
             t = F(k, 8)
             assert rebuilt.eval(t) == alpha.eval(t)
 
+    @pytest.mark.parametrize("table", ["samples", "breakpoints"])
+    def test_sampled_document_goes_through_from_polygonal(self, table, monkeypatch):
+        """The path of a sampled document is from_polygonal of its table, so
+        its backbone is the table polygonal and its values are the table's."""
+        beta = gen.rand_polygonal(random.Random(3), TWO_POINTS, 3)
+        doc = sampled_to_obj(SampledPath.from_polygonal(beta, F(9)))
+        if table == "breakpoints":
+            del doc["samples"]
+            doc.update(breakpoints=polygonal_to_obj(beta)["breakpoints"],
+                       vertices=polygonal_to_obj(beta)["vertices"])
+        wrapped, original = [], SampledPath.from_polygonal.__func__
+        monkeypatch.setattr(SampledPath, "from_polygonal", classmethod(
+            lambda cls, *args: wrapped.append(args) or original(cls, *args)))
+        alpha = path_from_obj(doc)
+        assert wrapped == [(beta, F(9))]
+        assert alpha.backbone == beta and alpha.fn == alpha.backbone.eval
+
     def test_sampled_path_needs_a_backbone_to_be_written(self):
         beta = gen.rand_polygonal(random.Random(3), TWO_POINTS, 3)
         with pytest.raises(PreconditionError) as got:
