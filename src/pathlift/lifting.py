@@ -3,11 +3,12 @@
 A segment lift is the [0, 1] twin of ``mixture``: it joins two simple
 random variables by moving, inside each cell A_i & B_j of their joint
 partition, a linearly growing leftmost part from value a_i to value a_j.
-Its law at s is exactly the mixture of the endpoint laws at s, it takes
-the endpoints exactly at 0 and 1, and it contracts rho at rate 1.  It
-caches the common refinement of its endpoint slabs as (right, i, j)
-pieces over one denominator plus the cell masses; an evaluation at local
-time s = p / q, one reduced integer pair, is one walk over the pieces on
+Its law at s is exactly the mixture of the endpoint laws at s, and it
+contracts rho at rate 1.  It caches the common refinement of its
+endpoint slabs as (right, i, j) pieces over one denominator plus the
+cell masses.  At local time 0 and 1 it hands back its stored ends x and
+y, as ``mixture`` hands back mu and nu; an evaluation at any other
+s = p / q, one reduced integer pair, is one walk over the pieces on
 integers over den * q, with a "mass still to move" counter per cell,
 merging equal neighbours.  rho between two local times is the Ky Fan
 sweep of cached per-level tail masses scaled by their distance.
@@ -18,7 +19,8 @@ breakpoint, a measure or a random variable, checked once for both.
 Paths own time: ``_unit``, the one time rule, reads t in [0, 1] as a
 reduced pair p / r; over the lcm den of the breakpoints, t lies in the
 piece of the last tick k <= p * den // r, whose mixture or segment lift
-takes t's local time there.  Grids are tick sets, each point a Fraction
+takes t's local time there: 0 at a breakpoint, which thus returns its
+stored vertex (1 at t = 1).  Grids are tick sets, each point a Fraction
 once.  ``lift_polygonal`` alone checks the endpoint variables against
 the path; interior vertices are chained by matching.  A Lipschitz path
 of measures is approximated by polygonals on uniform grids, which
@@ -43,9 +45,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import PreconditionError
-from .prokhorov import (
-    _kyfan_from_tails, _level_tails, prokhorov, prokhorov_coupling, total_variation
-)
+from .prokhorov import _kyfan_from_tails, _level_tails, _tv_sum, prokhorov, prokhorov_coupling
 from .randomvars import (
     Piece,
     SimpleRandomVariable,
@@ -146,7 +146,11 @@ class SegmentLift:
         return self.x.space
 
     def eval(self, s: Fraction) -> SimpleRandomVariable:
-        return transfer_blocks(self.space, *self.refinement, self.masses, *_unit(s))
+        """The value at local time s: x at 0 and y at 1 as stored, else one walk."""
+        num, q = _unit(s)
+        if num in (0, q):
+            return self.y if num else self.x
+        return transfer_blocks(self.space, *self.refinement, self.masses, num, q)
 
     def rho_between(self, s: Fraction, t: Fraction) -> Fraction:
         """rho(eval(s), eval(t)), exact and nondecreasing in |s - t|."""
@@ -210,7 +214,9 @@ class SampledPath:
     times; by the triangle inequality this certifies every queried pair,
     and any violated pair forces a violated adjacent pair, so violations
     cannot go unnoticed; a pair is certified by total variation (q <= TV)
-    or else by max-flow.  Values are memoized, so queries repeat cheaply.
+    or else by max-flow, both compared with the bound on integers.  Values
+    are memoized by the reduced pair (p, r) of their time, kept in time
+    order beside those pairs, so queries repeat cheaply.
     """
 
     def __init__(
@@ -222,8 +228,9 @@ class SampledPath:
         self.backbone: PolygonalPath | None = None  # set by from_polygonal only
         if self.lipschitz < ZERO:
             raise PreconditionError("Lipschitz constant must be nonnegative")
-        self._times: list[Fraction] = []
-        self._values: dict[Fraction, Measure] = {}
+        self._times: list[tuple[int, int]] = []  # sorted reduced pairs, beside their samples
+        self._samples: list[Measure] = []
+        self._values: dict[tuple[int, int], Measure] = {}
 
     @classmethod
     def from_polygonal(
@@ -242,29 +249,33 @@ class SampledPath:
     def eval(self, t: Fraction) -> Measure:
         t = _time(t)
         p, r = _unit(t)
-        cached = self._values.get(t)
+        cached = self._values.get((p, r))
         if cached is not None:
             return cached
         value = self.fn(t)
         same_space(value.space, self.space)
-        pos = bisect_right(self._times, t)
-        for nb_idx in (pos - 1, pos):
-            if 0 <= nb_idx < len(self._times):
-                nb = self._times[nb_idx]
-                bound_num = self.lipschitz.numerator * abs(p * nb.denominator - nb.numerator * r)
-                bound_den = self.lipschitz.denominator * r * nb.denominator
-                tv = total_variation(self._values[nb], value)
-                if tv.numerator * bound_den <= bound_num * tv.denominator:
-                    continue  # q <= TV, since A lies inside A^eps
-                gap = prokhorov(self._values[nb], value)
-                if gap.numerator * bound_den > bound_num * gap.denominator:
-                    raise PreconditionError(
-                        f"declared Lipschitz constant {self.lipschitz} violated: "
-                        f"q(path({nb}), path({t})) = {gap} > "
-                        f"{self.lipschitz} * {abs(t - nb)}"
-                    )
-        self._times.insert(pos, t)
-        self._values[t] = value
+        times, samples, lo, hi = self._times, self._samples, 0, len(self._times)
+        while lo < hi:  # bisect_right on integers: t < n / d iff p * d < n * r
+            mid = (lo + hi) // 2
+            n, d = times[mid]
+            lo, hi = (lo, mid) if p * d < n * r else (mid + 1, hi)
+        ln, ld = self.lipschitz.as_integer_ratio()
+        for k in range(max(lo - 1, 0), min(lo + 1, len(times))):
+            (n, d), near = times[k], samples[k]
+            bound_num, bound_den = ln * abs(p * d - n * r), ld * r * d
+            if _tv_sum(near, value) * bound_den <= bound_num * 2 * near.den * value.den:
+                continue  # q <= TV, since A lies inside A^eps
+            gap = prokhorov(near, value)
+            if gap.numerator * bound_den > bound_num * gap.denominator:
+                nb = Fraction(n, d)
+                raise PreconditionError(
+                    f"declared Lipschitz constant {self.lipschitz} violated: "
+                    f"q(path({nb}), path({t})) = {gap} > "
+                    f"{self.lipschitz} * {abs(t - nb)}"
+                )
+        times.insert(lo, (p, r))
+        samples.insert(lo, value)
+        self._values[p, r] = value
         return value
 
 

@@ -149,13 +149,16 @@ def dirac(space: FiniteMetricSpace, point: str) -> Measure:
 
 
 def mixture(mu: Measure, nu: Measure, t: Fraction) -> Measure:
-    """The affine combination (1-t) * mu + t * nu, exact: with t = p / q,
-    integers over q * lcm(mu.den, nu.den)."""
-    t = Fraction(t)
-    p, q = t.numerator, t.denominator
+    """The affine combination (1-t) * mu + t * nu, exact: with t = p / q
+    read off t as an integer pair, integers over q * lcm(mu.den, nu.den).
+    At t = 0 and 1 it hands back mu and nu, already reduced."""
+    t = t if type(t) is Fraction else Fraction(t)
+    p, q = t.as_integer_ratio()
     if p < 0 or p > q:
         raise PreconditionError(f"mixture parameter {t} outside [0, 1]")
     same_space(mu.space, nu.space)
+    if p in (0, q):
+        return nu if p else mu
     den = math.lcm(mu.den, nu.den)
     a, b = (q - p) * (den // mu.den), p * (den // nu.den)
     return Measure.reduced(mu.space, q * den, [a * x + b * y for x, y in zip(mu.nums, nu.nums)])

@@ -274,6 +274,19 @@ class TestSegmentLift:
                 restricted = SegmentLift(seg.eval(lo), seg.eval(hi))
                 assert restricted.eval(u) == seg.eval(lo + (hi - lo) * u)
 
+    @given(space_with(n_rvs=2, max_size=6, max_slabs=10))
+    @settings(max_examples=60, deadline=None)
+    def test_ends_are_the_stored_variables_and_the_walk(self, bundle):
+        """eval hands back x at 0 and y at 1, which the walk at 0 and 1 rebuilds."""
+        _, x, y = bundle
+        seg = SegmentLift(x, y)
+        with mock.patch.object(lifting, "transfer_blocks") as walk:
+            assert seg.eval(Z) is x and seg.eval(0) is x
+            assert seg.eval(F(1)) is y and seg.eval("2/2") is y
+        walk.assert_not_called()
+        assert lifting.transfer_blocks(seg.space, *seg.refinement, seg.masses, 0, 1) == seg.x
+        assert lifting.transfer_blocks(seg.space, *seg.refinement, seg.masses, 1, 1) == seg.y
+
     def test_rho_between_outside_interval(self):
         space = two_point_space()
         x = canonical_rv(dirac(space, "a"))
@@ -413,6 +426,65 @@ class TestSampledPath:
         )
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             path.eval(F(1))
+
+    def test_screen_is_against_the_whole_total_variation(self):
+        # diracs at distance 1, so q = TV = 1; at L = 3/2 and |dt| = 1/2 the
+        # bound 3/4 lies between TV / 2 and TV: only the max-flow decides
+        space = two_point_space()
+        mu, nu = dirac(space, "a"), dirac(space, "b")
+        path = SampledPath(space, lambda t: mu if t < F(1, 2) else nu, F(3, 2))
+        path.eval(Z)
+        message = "declared Lipschitz constant 3/2 violated: q(path(0), path(1/2)) = 1 > 3/2 * 1/2"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            path.eval(F(1, 2))
+
+    @given(st.lists(st.fractions(0, 1, max_denominator=24), min_size=1, max_size=24), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_memo_by_reduced_time_in_any_order(self, times, data):
+        """Times given as ints, "p/q" text or unreduced pairs: one sample per
+        time, handed back as the identical object, the times kept sorted."""
+        space = two_point_space()
+        a, b = dirac(space, "a"), dirac(space, "b")
+        beta = PolygonalPath(space, (Z, F(1, 3), F(1)), (a, mixture(a, b, F(1, 5)), b))
+        sampled = []
+        path = SampledPath(space, lambda t: sampled.append(t) or beta.eval(t), F(4))
+        first = {}
+        for t in times:
+            k = data.draw(st.integers(1, 6))
+            query = data.draw(st.sampled_from([
+                F(t.numerator * k, t.denominator * k),
+                f"{t.numerator * k}/{t.denominator * k}",
+                t.numerator if t.denominator == 1 else t,
+            ]))
+            value = path.eval(query)
+            assert value == beta.eval(t) and first.setdefault(t, value) is value
+        assert sorted(sampled) == sorted(set(times))
+        assert [F(*pr) for pr in path._times] == sorted(set(times))
+        assert path._samples == [first[t] for t in sorted(set(times))]
+
+    @given(st.lists(st.fractions(0, 1, max_denominator=16), min_size=2, max_size=12, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_jump_violates_in_any_query_order(self, times):
+        """Diracs at distance 1/10 jumping at 1/2, declared 1/20-Lipschitz: the
+        first query across the jump raises, against its nearest left neighbour
+        if it has one, else its right."""
+        side = [t < F(1, 2) for t in times]
+        assume((not side[0]) in side)
+        space = two_point_space(F(1, 10))
+        mu, nu = dirac(space, "a"), dirac(space, "b")
+        path = SampledPath(space, lambda t: mu if t < F(1, 2) else nu, F(1, 20))
+        cross = side.index(not side[0])
+        for t in times[:cross]:
+            path.eval(t)
+        t = times[cross]
+        left = [s for s in times[:cross] if s < t]
+        nb = max(left) if left else min(times[:cross])
+        message = (
+            "declared Lipschitz constant 1/20 violated: "
+            f"q(path({nb}), path({t})) = 1/10 > 1/20 * {abs(t - nb)}"
+        )
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            path.eval(t)
 
     def test_endpoints_exact(self):
         rng = random.Random(5)
@@ -840,6 +912,26 @@ class TestIntegerTimeAxis:
         expected = (i + 1, Z) if u == 1 and i < len(bps) - 2 else (i, u)
         beta = polygonal_on(bps)
         assert beta.locate(t) == expected
-        # the segment walk gets the local time as its reduced integer pair
-        with mock.patch.object(lifting, "transfer_blocks", lambda *args: args[-2:]):
-            assert lift_of(beta).eval(t) == expected[1].as_integer_ratio()
+        lift = lift_of(beta)
+        calls = []
+        with mock.patch.object(lifting, "transfer_blocks", lambda *args: calls.append(args[-2:])):
+            value = lift.eval(t)
+        i, local = expected
+        if local in (0, 1):  # a piece end is its stored vertex, with no walk
+            assert value is lift.vertices[i + int(local)] and calls == []
+        else:  # elsewhere the segment walk gets the local time as its reduced integer pair
+            assert calls == [local.as_integer_ratio()]
+
+    @given(breakpoint_tuples(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_breakpoints_hand_back_the_stored_vertices(self, bps, relift):
+        lift = lift_of(polygonal_on(bps))
+        if relift:  # rematched vertices too: a relift toward b at 1/2, within q <= 1
+            ends = lift.law_path().vertices
+            target = (ends[0], dirac(lift.space, "b"), ends[-1])
+            beta = PolygonalPath(lift.space, (Z, F(1, 2), F(1)), target)
+            lift, _ = relift_near(lift, beta, F(1))
+        with mock.patch.object(lifting, "transfer_blocks") as walk:
+            for t, vertex in zip(lift.breakpoints, lift.vertices):
+                assert lift.eval(t) is vertex
+        walk.assert_not_called()

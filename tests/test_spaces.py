@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import coupling_from_mass, distinct_space, fractions01, space_with
+from helpers import coupling_from_mass, distinct_space, fractions01, measures_on, space_with
 from pathlift import Measure, PreconditionError, dirac, joint_coupling, mixture, validate_space
 from pathlift.spaces import CouplingMatrix, FiniteMetricSpace
 
@@ -161,6 +161,19 @@ class TestMixture:
         mixed = mixture(mu, nu, t)
         for w, a, b in zip(mixed.weights, mu.weights, nu.weights):
             assert w == (1 - t) * a + t * b
+
+    @given(space_with(), st.data(), st.integers(1, 6))
+    def test_ends_equal_the_affine_formula(self, bundle, data, k):
+        """At t = 0 and 1 (as 0/k, k/k, int or text) mixture equals the
+        reduced affine combination over q * mu.den * nu.den, here q = 1."""
+        space, = bundle
+        mu = data.draw(measures_on(space, den=data.draw(st.integers(1, 30))))
+        nu = data.draw(measures_on(space, den=data.draw(st.integers(1, 30))))
+        den = mu.den * nu.den
+        for p, ts in ((0, (F(0, k), 0, f"0/{k}")), (1, (F(k, k), 1, f"{k}/{k}"))):
+            nums = [(1 - p) * x * nu.den + p * y * mu.den for x, y in zip(mu.nums, nu.nums)]
+            for t in ts:
+                assert mixture(mu, nu, t) == Measure.reduced(space, den, nums)
 
 
 class TestCouplingMatrix:
