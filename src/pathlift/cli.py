@@ -217,16 +217,18 @@ def cmd_cube(args):
     values = [lift.eval(point) for point in points]
     gaps = [frac_str(prokhorov(law(v), g_eval(interp, p))) for v, p in zip(values, points)]
 
-    def rho(k, s):
-        # stride 1 is the last axis: both ends are values of the segment lift at k's prefix
-        if s == 1:
-            return lift.segment(points[k][:-1]).rho_between(points[k][-1], points[k + 1][-1])
-        return kyfan_rho(values[k], values[k + s])
+    def rho(k, a):
+        # a later coordinate 1 puts both ends on one corner's variable; with every later
+        # coordinate 0 both ends are values of the segment lift at k's prefix before a
+        rest, j = indices[k][a + 1:], k + strides[a]
+        if any(rest):
+            return ZERO if per_axis - 1 in rest else kyfan_rho(values[k], values[j])
+        return lift.segment(points[k][:a]).rho_between(points[k][a], points[j][a])
 
     adjacent = [
-        {"from": texts[k], "to": texts[k + s], "rho": frac_str(rho(k, s))}
+        {"from": texts[k], "to": texts[k + strides[a]], "rho": frac_str(rho(k, a))}
         for k, idx in enumerate(indices)
-        for i, s in zip(idx, strides)
+        for a, i in enumerate(idx)
         if i + 1 < per_axis
     ]
     doc = {

@@ -7,7 +7,14 @@ at (t_1, ..., t_k) is the segment lift from the value at
 (t_1, ..., t_{k-1}) to the canonical variable of the next corner, taken
 at t_k; the empty prefix holds the canonical variable of the first
 corner.  Each prefix point keeps its segment lift, which serves every
-point below it: rho along the last axis is its closed form ``rho_between``.
+point below it.  So rho between two points that differ only in t_a
+often needs no evaluation.  If some later coordinate t_j (j > a) is 1,
+the value at (t_1, ..., t_j) is the canonical variable of m_{j+1} at
+both points, and the recursion from there is the same: one variable,
+rho 0.  If every later coordinate is 0, each segment lift below is taken
+at its stored start, so both values are the segment lift at
+(t_1, ..., t_{a-1}) taken at t_a and t_a', and rho is its closed form
+``rho_between``; the last axis is the case with no later coordinate.
 The pointwise law equals the interpolation exactly at every rational point.
 """
 

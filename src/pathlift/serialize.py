@@ -7,6 +7,10 @@ Readers parse each "p/q" to an integer pair: a space, a weight list and
 a variable's blocks are each scaled to integers over the lcm of their
 denominators and handed to one validating constructor, with no
 ``Fraction`` built; times and tolerances are read as ``Fraction``s.
+The text is ``json.dumps(obj, indent=2)``'s, built in one recursive pass
+into a list of strings: strings go through json's C encoder
+``encode_basestring_ascii``, a list of strings is one join, and other
+scalars take ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import re
 import tempfile
 from contextvars import ContextVar
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import PreconditionError
@@ -309,7 +314,39 @@ def certificate_to_obj(cert: Certificate) -> dict:
 # -- files -------------------------------------------------------------
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.  A dict key
+    that is not a ``str`` raises ``TypeError``."""
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value: Any, pad: str, out: list[str]) -> None:
+    """Append the indent-2 text of value, whose line starts with pad, to out."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if all(isinstance(item, str) for item in value):
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key) + ": ")
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:  # int, bool, None, and the empty list or dict
+        out.append(json.dumps(value))
 
 
 def load_json(path: str) -> Any:

@@ -432,7 +432,12 @@ class TestCubeCommand:
         assert len(doc["adjacent_rho"]) == 4
 
     @pytest.mark.parametrize("dim, grid", [(1, 5), (2, 3), (2, 5), (3, 2), (3, 5)])
-    def test_kyfan_rho_runs_off_the_last_axis_only(self, tmp_path, monkeypatch, dim, grid):
+    def test_kyfan_rho_runs_only_where_no_closed_form_applies(
+        self, tmp_path, monkeypatch, dim, grid
+    ):
+        """Along axis a, a later coordinate 1 gives rho 0 and all later
+        coordinates 0 give the segment lift's rho_between: kyfan_rho runs on
+        the (g - 1)^(n - 1 - a) - 1 other tails of each of the (g - 1) g^a steps."""
         rng = random.Random(67)
         space = gen.rand_space(rng, 4)
         corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(dim + 1)]
@@ -440,7 +445,11 @@ class TestCubeCommand:
         calls, kyfan_rho = [], cli.kyfan_rho
         monkeypatch.setattr(cli, "kyfan_rho", lambda x, y: calls.append(x) or kyfan_rho(x, y))
         assert main(["cube", cf, "--grid", str(grid), "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == (dim - 1) * (grid - 1) * grid ** (dim - 1)
+        expected = sum(
+            (grid - 1) * grid**a * ((grid - 1) ** (dim - 1 - a) - 1) for a in range(dim - 1)
+        )
+        assert len(calls) == expected
+        assert expected == {(3, 5): 120, (2, 5): 12, (2, 3): 2}.get((dim, grid), 0)
 
     def test_dimension_cap(self, tmp_path, capsys):
         rng = random.Random(66)
@@ -452,6 +461,33 @@ class TestCubeCommand:
         )
         assert main(["cube", cf]) == 2
         assert "dimension" in capsys.readouterr().err
+
+
+class TestEmit:
+    @pytest.mark.parametrize("command", ["cube", "lift"])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsys, command):
+        rng = random.Random(68)
+        space = gen.rand_space(rng, 3)
+        if command == "cube":
+            corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(3)]
+            doc = {"space": space_to_obj(space), "corners": corners}
+            argv = ["cube", write(tmp_path / "corners.json", doc)]
+        else:
+            beta = gen.rand_polygonal(rng, space, 3)
+            ends = {
+                "space": space_to_obj(space),
+                "start": blocks_to_obj(canonical_rv(beta.vertices[0])),
+                "end": blocks_to_obj(canonical_rv(beta.vertices[-1])),
+            }
+            argv = ["lift", write(tmp_path / "path.json", polygonal_to_obj(beta)),
+                    write(tmp_path / "ends.json", ends)]
+        argv += ["--grid", "5"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
 
 
 @pytest.fixture

@@ -142,8 +142,9 @@ class TestGLiftEval:
 
 class TestCubeReport:
     def test_every_adjacent_entry_is_rho_of_its_two_values(self, tmp_path):
-        """Last-axis entries come from the shared segment lift's closed
-        form, the others from kyfan_rho: both equal rho by evaluation."""
+        """Entries come from the recursion (0 past a later coordinate 1, the
+        segment lift's closed form past later 0s) or from kyfan_rho: each
+        equals rho by evaluation."""
         rng = random.Random(11)
         for dim, grid in product((1, 2, 3), (2, 3, 4, 5)):
             space = gen.rand_space(rng, rng.randint(2, 5))

@@ -505,6 +505,28 @@ class TestDeterminism:
         assert first.endswith("\n")
         json.loads(first)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.recursive(
+            st.text() | st.integers() | st.booleans() | st.none(),
+            lambda children: st.lists(children)
+            | st.lists(children).map(tuple)
+            | st.dictionaries(st.text(), children),
+            max_leaves=30,
+        )
+    )
+    def test_dumps_is_json_indent_2(self, value):
+        """Strings with any characters, ints, bools, None, and empty or
+        nested lists, tuples and dicts give json's indent-2 text."""
+        assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("key", [1, True, None, 1.5])
+    def test_dumps_refuses_a_key_that_is_not_a_string(self, key):
+        """json would write such a key as a string; reports never hold one,
+        so dumps raises TypeError instead."""
+        with pytest.raises(TypeError):
+            dumps({"ok": [{key: "1/2"}]})
+
     def test_certificate_key_order(self):
         rng = random.Random(8)
         space = gen.rand_space(rng, 2)
