@@ -10,14 +10,11 @@ interpolation to random variables, and tabulates the exact law gap
 
 import argparse
 import random
-from fractions import Fraction
-from itertools import product
 
-from pathlift import CubeInterpolation, CubeLift, g_eval, kyfan_rho, law, prokhorov
+from pathlift import CubeInterpolation, CubeLift
 from pathlift import gen
+from pathlift.cube import cube_grid
 from pathlift.serialize import frac_str
-
-F = Fraction
 
 
 def main():
@@ -35,23 +32,9 @@ def main():
     rng = random.Random(args.seed)
     space = gen.rand_space(rng, args.points)
     corners = tuple(gen.rand_measure(rng, space) for _ in range(args.dim + 1))
-    interp = CubeInterpolation(space, corners)
-    lift = CubeLift(interp)
-
-    # flat lists aligned with product(range(grid), repeat=dim): entry k's
-    # neighbour along axis a is entry k + strides[a]
-    axis = [F(k, args.grid - 1) for k in range(args.grid)]
-    indices = list(product(range(args.grid), repeat=args.dim))
-    strides = [args.grid ** (args.dim - 1 - a) for a in range(args.dim)]
-    points = [tuple(axis[k] for k in idx) for idx in indices]
-    values = [lift.eval(point) for point in points]
-    worst_gap = max(prokhorov(law(v), g_eval(interp, p)) for v, p in zip(values, points))
-    worst_rho = max(
-        kyfan_rho(values[k], values[k + s])
-        for k, idx in enumerate(indices)
-        for i, s in zip(idx, strides)
-        if i + 1 < args.grid
-    )
+    _, gaps, adjacent = cube_grid(CubeLift(CubeInterpolation(space, corners)), args.grid)
+    worst_gap = max(gaps)
+    worst_rho = max(rho for _, _, rho in adjacent)
 
     print(f"space points:       {', '.join(space.points)}")
     print(f"cube dimension:     {args.dim}, grid {args.grid} per axis")

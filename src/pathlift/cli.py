@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
-from itertools import product
 
-from .cube import CubeInterpolation, CubeLift, g_eval
+from .cube import CubeLift, cube_grid
 from .errors import InvariantError, PreconditionError
 from .lifting import (
     DEFAULT_GRID,
@@ -38,7 +36,9 @@ from .serialize import (
     blocks_to_obj,
     certificate_to_obj,
     dumps,
+    endpoints_from_obj,
     frac_str,
+    interpolation_from_obj,
     lift_from_obj,
     lift_to_obj,
     load_json,
@@ -46,9 +46,7 @@ from .serialize import (
     parse_frac,
     path_from_obj,
     ratio_str,
-    rv_from_blocks_obj,
-    space_from_obj,
-    weights_from_obj,
+    rv_from_obj,
     write_json_atomic,
 )
 from .spaces import ONE, ZERO
@@ -63,25 +61,13 @@ def _emit(doc, out_path):
         sys.stdout.write(dumps(doc))
 
 
-def _load_rv_file(path):
+def _read(reader, path):
+    """reader's value on the document at path, whose errors name the file."""
     obj = load_json(path)
-    if not isinstance(obj, dict) or "space" not in obj or "blocks" not in obj:
-        raise PreconditionError(f'{path}: expected {{"space": ..., "blocks": ...}}')
-    space = space_from_obj(obj["space"])
-    return rv_from_blocks_obj(space, obj["blocks"])
-
-
-def _load_endpoints(path):
-    obj = load_json(path)
-    if not isinstance(obj, dict) or not {"space", "start", "end"} <= set(obj):
-        raise PreconditionError(
-            f'{path}: expected {{"space": ..., "start": ..., "end": ...}}'
-        )
-    space = space_from_obj(obj["space"])
-    return (
-        rv_from_blocks_obj(space, obj["start"]),
-        rv_from_blocks_obj(space, obj["end"]),
-    )
+    try:
+        return reader(obj)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from None
 
 
 def cmd_prokhorov(args):
@@ -109,14 +95,14 @@ def cmd_prokhorov(args):
 
 
 def cmd_kyfan(args):
-    x = _load_rv_file(args.x)
-    y = _load_rv_file(args.y)
+    x = _read(rv_from_obj, args.x)
+    y = _read(rv_from_obj, args.y)
     _emit({"rho": frac_str(kyfan_rho(x, y))}, args.out)
     return 0
 
 
 def cmd_match(args):
-    x = _load_rv_file(args.x)
+    x = _read(rv_from_obj, args.x)
     nu = measure_from_obj(load_json(args.nu))
     y = match_to_law(x, nu)
     rho = kyfan_rho(x, y)
@@ -145,15 +131,15 @@ def _emit_lift(lift, cert, ok, out_path):
 
 
 def cmd_segment(args):
-    x = _load_rv_file(args.x)
-    y = _load_rv_file(args.y)
+    x = _read(rv_from_obj, args.x)
+    y = _read(rv_from_obj, args.y)
     beta = PolygonalPath(x.space, (ZERO, ONE), (law(x), law(y)))
     return _emit_lift(*_lift_exactly(beta, x, y, args.grid), args.out)
 
 
 def cmd_lift(args):
     target = path_from_obj(load_json(args.path))
-    x_start, x_end = _load_endpoints(args.endpoints)
+    x_start, x_end = _read(endpoints_from_obj, args.endpoints)
     if isinstance(target, PolygonalPath):
         return _emit_lift(*_lift_exactly(target, x_start, x_end, args.grid), args.out)
     tol = parse_frac(args.tol)
@@ -181,65 +167,34 @@ def cmd_relift(args):
 
 
 def cmd_verify(args):
+    tol = parse_frac(args.tol) if args.tol is not None else ZERO
     lift = lift_from_obj(load_json(args.lift))
     target = path_from_obj(load_json(args.path))
     cert = verify_lift(lift, target, grid_n=args.grid)
     _emit(certificate_to_obj(cert), args.out)
-    tol = parse_frac(args.tol) if args.tol else ZERO
     ok = cert.max_law_gap <= tol and all(cert.endpoint_ok)
     return 0 if ok else 2
 
 
 def cmd_cube(args):
-    obj = load_json(args.corners)
-    if not isinstance(obj, dict) or "space" not in obj or "corners" not in obj:
-        raise PreconditionError(
-            f'{args.corners}: expected {{"space": ..., "corners": [...]}}'
-        )
-    if not isinstance(obj["corners"], list):
-        raise PreconditionError(f'{args.corners}: "corners" must be a list of weight lists')
-    space = space_from_obj(obj["space"])
-    corners = tuple(weights_from_obj(space, w) for w in obj["corners"])
-    interp = CubeInterpolation(space, corners)
+    interp = _read(interpolation_from_obj, args.corners)
     if interp.dimension > MAX_CUBE_DIM:
         raise PreconditionError(
             f"cube dimension {interp.dimension} exceeds the cap {MAX_CUBE_DIM}"
         )
-    per_axis, n = args.grid, interp.dimension
-    if per_axis < 2:
-        raise PreconditionError("cube grid needs at least 2 points per axis")
-    axis = [Fraction(i, per_axis - 1) for i in range(per_axis)]
-    lift = CubeLift(interp)
-    indices = list(product(range(per_axis), repeat=n))
-    strides = [per_axis ** (n - 1 - a) for a in range(n)]  # k + strides[a]: k's neighbour along a
-    points = [tuple(axis[k] for k in idx) for idx in indices]
+    points, gaps, adjacent = cube_grid(CubeLift(interp), args.grid)
     texts = [[frac_str(t) for t in point] for point in points]
-    values = [lift.eval(point) for point in points]
-    gaps = [frac_str(prokhorov(law(v), g_eval(interp, p))) for v, p in zip(values, points)]
-
-    def rho(k, a):
-        # a later coordinate 1 puts both ends on one corner's variable; with every later
-        # coordinate 0 both ends are values of the segment lift at k's prefix before a
-        rest, j = indices[k][a + 1:], k + strides[a]
-        if any(rest):
-            return ZERO if per_axis - 1 in rest else kyfan_rho(values[k], values[j])
-        return lift.segment(points[k][:a]).rho_between(points[k][a], points[j][a])
-
-    adjacent = [
-        {"from": texts[k], "to": texts[k + strides[a]], "rho": frac_str(rho(k, a))}
-        for k, idx in enumerate(indices)
-        for a, i in enumerate(idx)
-        if i + 1 < per_axis
-    ]
     doc = {
-        "dimension": n,
-        "grid_per_axis": per_axis,
+        "dimension": interp.dimension,
+        "grid_per_axis": args.grid,
         "points": texts,
-        "law_gap": gaps,
-        "adjacent_rho": adjacent,
+        "law_gap": [frac_str(gap) for gap in gaps],
+        "adjacent_rho": [
+            {"from": texts[k], "to": texts[j], "rho": frac_str(rho)} for k, j, rho in adjacent
+        ],
     }
     _emit(doc, args.out)
-    return 0 if all(g == "0/1" for g in gaps) else 3
+    return 3 if any(gaps) else 0
 
 
 def cmd_selftest(args):

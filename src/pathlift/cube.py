@@ -15,7 +15,9 @@ rho 0.  If every later coordinate is 0, each segment lift below is taken
 at its stored start, so both values are the segment lift at
 (t_1, ..., t_{a-1}) taken at t_a and t_a', and rho is its closed form
 ``rho_between``; the last axis is the case with no later coordinate.
-The pointwise law equals the interpolation exactly at every rational point.
+``cube_grid`` applies both rules over a uniform grid and runs
+``kyfan_rho`` only on the other neighbour pairs.  The pointwise law
+equals the interpolation exactly at every rational point.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .errors import PreconditionError
-from .lifting import SegmentLift, _time
-from .randomvars import SimpleRandomVariable, canonical_rv
-from .spaces import FiniteMetricSpace, Measure, mixture, same_space
+from .lifting import SegmentLift
+from .prokhorov import prokhorov
+from .randomvars import SimpleRandomVariable, canonical_rv, kyfan_rho, law
+from .spaces import ZERO, FiniteMetricSpace, Measure, _time, _unit, mixture, same_space
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,7 @@ def _check_point(interp: CubeInterpolation, ts) -> tuple[Fraction, ...]:
             f"expected {interp.dimension} coordinates, got {len(ts)}"
         )
     for t in ts:
-        p, q = t.as_integer_ratio()
-        if p < 0 or p > q:
-            raise PreconditionError(f"coordinate {t} outside [0, 1]")
+        _unit(t)
     return ts
 
 
@@ -100,3 +102,35 @@ class CubeLift:
         taken at its last coordinate."""
         ts = _check_point(self.interp, ts)
         return self.segment(ts[:-1]).eval(ts[-1])
+
+
+def cube_grid(lift: CubeLift, per_axis: int) -> tuple[list, list[Fraction], list]:
+    """The lift on the grid of per_axis points per axis, in product order:
+    the points, each point's law gap to ``g_eval``, and (k, j, rho) for
+    each neighbour pair, point k and the next point j along an axis, in
+    order of k and then of the axis."""
+    if per_axis < 2:
+        raise PreconditionError("cube grid needs at least 2 points per axis")
+    n = lift.interp.dimension
+    axis = [Fraction(i, per_axis - 1) for i in range(per_axis)]
+    indices = list(product(range(per_axis), repeat=n))
+    strides = [per_axis ** (n - 1 - a) for a in range(n)]  # k + strides[a]: k's neighbour along a
+    points = [tuple(axis[i] for i in idx) for idx in indices]
+    values = [lift.eval(point) for point in points]
+    gaps = [prokhorov(law(v), g_eval(lift.interp, p)) for v, p in zip(values, points)]
+
+    def rho(k, a):
+        # a later coordinate 1 puts both ends on one corner's variable; with every later
+        # coordinate 0 both ends are values of the segment lift at k's prefix before a
+        rest, j = indices[k][a + 1:], k + strides[a]
+        if any(rest):
+            return ZERO if per_axis - 1 in rest else kyfan_rho(values[k], values[j])
+        return lift.segment(points[k][:a]).rho_between(points[k][a], points[j][a])
+
+    adjacent = [
+        (k, k + strides[a], rho(k, a))
+        for k, idx in enumerate(indices)
+        for a, i in enumerate(idx)
+        if i + 1 < per_axis
+    ]
+    return points, gaps, adjacent

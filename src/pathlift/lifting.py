@@ -16,8 +16,8 @@ sweep of cached per-level tail masses scaled by their distance.
 A polygonal path of measures and its lift inherit one record,
 ``_Polygonal``: breakpoints 0 = t_0 < ... < t_n = 1 and one vertex per
 breakpoint, a measure or a random variable, checked once for both.
-Paths own time: ``_unit``, the one time rule, reads t in [0, 1] as a
-reduced pair p / r; over the lcm den of the breakpoints, t lies in the
+Paths own time: ``spaces._unit``, the one time rule, reads t in [0, 1]
+as a reduced pair p / r; over the lcm den of the breakpoints, t lies in the
 piece of the last tick k <= p * den // r, whose mixture or segment lift
 takes t's local time there: 0 at a breakpoint, which thus returns its
 stored vertex (1 at t = 1).  Grids are tick sets, each point a Fraction
@@ -56,13 +56,9 @@ from .randomvars import (
     realize_coupling,
     refinement,
 )
-from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, mixture, same_space
+from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, _time, _unit, mixture, same_space
 
 DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
-
-
-def _time(t) -> Fraction:
-    return t if type(t) is Fraction else Fraction(t)
 
 
 def _union(sources: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[int]]:
@@ -107,14 +103,6 @@ def transfer_blocks(
             to_move[i][j] = 0
         left = right
     return SimpleRandomVariable.from_slabs(space, den * q, slabs)
-
-
-def _unit(s) -> tuple[int, int]:
-    """A local time s in [0, 1] as its reduced integer pair (num, q)."""
-    num, q = _time(s).as_integer_ratio()
-    if num < 0 or num > q:
-        raise PreconditionError(f"time {Fraction(num, q)} outside [0, 1]")
-    return num, q
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
+from .cube import CubeInterpolation
 from .errors import PreconditionError
 from .lifting import Certificate, LiftedPath, PolygonalPath, SampledPath
 from .randomvars import SimpleRandomVariable
@@ -47,7 +48,10 @@ def _ratio(text: Any) -> tuple[int, int]:
     """The integers p and q > 0 of a "p/q" string, as written."""
     if not isinstance(text, str) or not (match := _FRACTION_RE.fullmatch(text)):
         raise PreconditionError(f'rational expected as "p/q" string, got {text!r}')
-    num, den = int(match[1]), int(match[2])
+    try:
+        num, den = int(match[1]), int(match[2])
+    except ValueError:  # more digits than int() converts
+        raise PreconditionError(f"too many digits in rational {text[:20]}...") from None
     if den == 0:
         raise PreconditionError(f"zero denominator in {text!r}")
     return num, den
@@ -96,6 +100,14 @@ def space_from_obj(obj: Any) -> FiniteMetricSpace:
     return space
 
 
+def _space_of(obj: Any, kind: str, *keys: str) -> FiniteMetricSpace:
+    """The space of a document of this kind, a dict holding "space" and keys."""
+    if not isinstance(obj, dict) or not {"space", *keys} <= obj.keys():
+        shape = ", ".join(f'"{key}": ...' for key in ("space", *keys))
+        raise PreconditionError(f"{kind} must be {{{shape}}}")
+    return space_from_obj(obj["space"])
+
+
 def weights_to_obj(mu: Measure) -> list[str]:
     return [ratio_str(w, mu.den) for w in mu.nums]
 
@@ -114,10 +126,7 @@ def measure_to_obj(mu: Measure) -> dict:
 
 
 def measure_from_obj(obj: Any) -> Measure:
-    if not isinstance(obj, dict) or "space" not in obj or "weights" not in obj:
-        raise PreconditionError('measure must be {"space": ..., "weights": [...]}')
-    space = space_from_obj(obj["space"])
-    return weights_from_obj(space, obj["weights"])
+    return weights_from_obj(_space_of(obj, "measure", "weights"), obj["weights"])
 
 
 # -- random variables -------------------------------------------------
@@ -176,12 +185,16 @@ def rv_to_obj(x: SimpleRandomVariable) -> dict:
 
 
 def rv_from_obj(obj: Any) -> SimpleRandomVariable:
-    if not isinstance(obj, dict) or "space" not in obj or "blocks" not in obj:
-        raise PreconditionError('random variable must be {"space": ..., "blocks": ...}')
-    return rv_from_blocks_obj(space_from_obj(obj["space"]), obj["blocks"])
+    return rv_from_blocks_obj(_space_of(obj, "random variable", "blocks"), obj["blocks"])
 
 
-# -- measure paths ----------------------------------------------------
+def endpoints_from_obj(obj: Any) -> tuple[SimpleRandomVariable, SimpleRandomVariable]:
+    """Read the start and end variables of a path, on one space."""
+    space = _space_of(obj, "endpoints", "start", "end")
+    return rv_from_blocks_obj(space, obj["start"]), rv_from_blocks_obj(space, obj["end"])
+
+
+# -- measure paths and cube corners -----------------------------------
 
 def polygonal_to_obj(beta: PolygonalPath) -> dict:
     return {
@@ -200,9 +213,7 @@ def path_from_obj(obj: Any) -> PolygonalPath | SampledPath:
     interpolation of the "samples" table when present, else of
     breakpoints/vertices, spot-checked against the declared modulus.
     """
-    if not isinstance(obj, dict) or "space" not in obj or "kind" not in obj:
-        raise PreconditionError('path must carry "space" and "kind"')
-    space = space_from_obj(obj["space"])
+    space = _space_of(obj, "path", "kind")
     kind = obj["kind"]
 
     def table_polygonal(bps_obj, verts_obj):
@@ -251,6 +262,14 @@ def sampled_to_obj(alpha: SampledPath) -> dict:
     }
 
 
+def interpolation_from_obj(obj: Any) -> CubeInterpolation:
+    """Read the corner measures of a cube interpolation."""
+    space = _space_of(obj, "corners", "corners")
+    if not isinstance(obj["corners"], list):
+        raise PreconditionError('"corners" must be a list of weight lists')
+    return CubeInterpolation(space, tuple(weights_from_obj(space, w) for w in obj["corners"]))
+
+
 # -- lifted paths ------------------------------------------------------
 
 def lift_to_obj(lift: LiftedPath) -> dict:
@@ -267,9 +286,7 @@ def lift_to_obj(lift: LiftedPath) -> dict:
 
 
 def lift_from_obj(obj: Any) -> LiftedPath:
-    if not isinstance(obj, dict) or "space" not in obj or "segments" not in obj:
-        raise PreconditionError('lift must be {"space": ..., "segments": [...]}')
-    space = space_from_obj(obj["space"])
+    space = _space_of(obj, "lift", "segments")
     if not isinstance(obj["segments"], list):
         raise PreconditionError("segments must be a list")
     docs, segments = obj["segments"], []  # segments as (a, b, x, y)
@@ -359,7 +376,8 @@ def load_json(path: str) -> Any:
         raise PreconditionError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer longer than int() converts, or nested too deeply
         raise PreconditionError(f"{path}: {exc}") from exc
 
 

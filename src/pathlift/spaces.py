@@ -148,14 +148,24 @@ def dirac(space: FiniteMetricSpace, point: str) -> Measure:
     return Measure(space, 1, tuple(int(k == i) for k in range(space.size)))
 
 
-def mixture(mu: Measure, nu: Measure, t: Fraction) -> Measure:
-    """The affine combination (1-t) * mu + t * nu, exact: with t = p / q
-    read off t as an integer pair, integers over q * lcm(mu.den, nu.den).
-    At t = 0 and 1 it hands back mu and nu, already reduced."""
-    t = t if type(t) is Fraction else Fraction(t)
+def _time(t) -> Fraction:
+    return t if type(t) is Fraction else Fraction(t)
+
+
+def _unit(t) -> tuple[int, int]:
+    """The one time rule of mixtures, paths and cube points: t in [0, 1] as (p, q) reduced."""
+    t = _time(t)
     p, q = t.as_integer_ratio()
     if p < 0 or p > q:
-        raise PreconditionError(f"mixture parameter {t} outside [0, 1]")
+        raise PreconditionError(f"time {t} outside [0, 1]")
+    return p, q
+
+
+def mixture(mu: Measure, nu: Measure, t: Fraction) -> Measure:
+    """The affine combination (1-t) * mu + t * nu, exact: with t = p / q
+    read off t by ``_unit``, integers over q * lcm(mu.den, nu.den).
+    At t = 0 and 1 it hands back mu and nu, already reduced."""
+    p, q = _unit(t)
     same_space(mu.space, nu.space)
     if p in (0, q):
         return nu if p else mu

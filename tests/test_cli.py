@@ -17,15 +17,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathlift import SimpleRandomVariable, canonical_rv, dirac, law, lift_polygonal, validate_space
-from pathlift import cli, gen, lifting
+from pathlift import cli, cube, gen, lifting
 from pathlift.cli import build_parser, main
-from pathlift.lifting import LiftedPath, PolygonalPath, SampledPath
+from pathlift.lifting import Certificate, LiftedPath, PolygonalPath, SampledPath
 from pathlift.serialize import (
     SPACES_READ,
     blocks_to_obj,
     dumps,
+    lift_from_obj,
     lift_to_obj,
     measure_to_obj,
+    path_from_obj,
     polygonal_to_obj,
     sampled_to_obj,
     space_from_obj,
@@ -114,6 +116,13 @@ class TestProkhorovCommand:
         assert main(["prokhorov", str(bad), str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and reason in err
+
+    def test_integer_past_the_digit_limit_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text("7" * 5000)
+        assert main(["prokhorov", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: Exceeds the limit") and "Traceback" not in err
 
     def test_space_mismatch_is_precondition(self, tmp_path, crossing_pair, capsys):
         _, mu, _, mu_file, _ = crossing_pair
@@ -442,8 +451,8 @@ class TestCubeCommand:
         space = gen.rand_space(rng, 4)
         corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(dim + 1)]
         cf = write(tmp_path / "corners.json", {"space": space_to_obj(space), "corners": corners})
-        calls, kyfan_rho = [], cli.kyfan_rho
-        monkeypatch.setattr(cli, "kyfan_rho", lambda x, y: calls.append(x) or kyfan_rho(x, y))
+        calls, kyfan_rho = [], cube.kyfan_rho
+        monkeypatch.setattr(cube, "kyfan_rho", lambda x, y: calls.append(x) or kyfan_rho(x, y))
         assert main(["cube", cf, "--grid", str(grid), "--out", str(tmp_path / "r.json")]) == 0
         expected = sum(
             (grid - 1) * grid**a * ((grid - 1) ** (dim - 1 - a) - 1) for a in range(dim - 1)
@@ -563,6 +572,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err == "error: rational expected as \"p/q\" string, got '3/4\\n'\n"
 
+    def test_rational_past_the_digit_limit_exit_two(self, crossing_pair, capsys):
+        _, _, _, mu_file, _ = crossing_pair
+        doc = json.loads(Path(mu_file).read_text())
+        doc["weights"][0] = "1/" + "7" * 5000
+        write(Path(mu_file), doc)
+        assert main(["prokhorov", mu_file, mu_file]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: too many digits in rational 1/{'7' * 18}...\n"
+
+    def test_malformed_second_variable_is_named(self, two_point_files, tmp_path, capsys):
+        bad = write(tmp_path / "bad.json", {"blocks": {}})
+        assert main(["kyfan", two_point_files["x"], bad]) == 2
+        err = capsys.readouterr().err
+        assert err == f'error: {bad}: random variable must be {{"space": ..., "blocks": ...}}\n'
+
     def test_segment_without_b_exit_two(self, tmp_path, capsys):
         rng = random.Random(67)
         space = gen.rand_space(rng, 3)
@@ -589,6 +613,55 @@ class TestMalformedInput:
         y_file = write(tmp_path / "y.json", {"space": space, "blocks": {"a": [["0/1", "1/1"]]}})
         assert main(["kyfan", x_file, y_file]) == 2
         assert "blocks must partition [0, 1) exactly" in capsys.readouterr().err
+
+
+class TestExitCodeAtTheBound:
+    """Each command's pass-or-fail decision, with its stage patched to return
+    a quantity exactly on its bound (exit 0) and just over it."""
+
+    OVER = F(1, 1000)
+
+    @staticmethod
+    def certificate(gap=Z, decay=()):
+        return Certificate((Z, F(1)), gap, (F(1),), (True, True), tuple(decay))
+
+    @pytest.mark.parametrize("over, code", [(Z, 0), (OVER, 3)])
+    def test_lift_decay_on_its_budget(self, two_point_files, tmp_path, monkeypatch, over, code):
+        # tol 1/2, 3 rounds: eps = 25/2, 5/2, 1/2, budgets 5 * (25/2 + 5/2), 5 * (5/2 + 1/2)
+        lift = lift_from_obj(json.loads(Path(two_point_files["lift"]).read_text()))
+        beta = path_from_obj(json.loads(Path(two_point_files["path"]).read_text()))
+        sampled = write(tmp_path / "sampled.json", sampled_to_obj(SampledPath.from_polygonal(beta)))
+        cert = self.certificate(decay=(F(75), F(15) + over))
+        monkeypatch.setattr(cli, "lift_path", lambda *args, **kwargs: (lift, cert))
+        argv = ["lift", sampled, two_point_files["ends"], "--tol", "1/2", "--iters", "3"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == code
+
+    @pytest.mark.parametrize("over, code", [(Z, 0), (OVER, 3)])
+    def test_relift_drift_on_five_eps(self, two_point_files, tmp_path, monkeypatch, over, code):
+        monkeypatch.setattr(cli, "relift_near", lambda prev, target, eps: (prev, 5 * eps + over))
+        argv = ["relift", two_point_files["lift"], two_point_files["path"], "--tol", "1/4"]
+        assert main(argv + ["--grid", "5", "--out", str(tmp_path / "r.json")]) == code
+
+    @pytest.mark.parametrize("over, code", [(Z, 0), (OVER, 2)])
+    def test_verify_law_gap_on_tol(self, two_point_files, tmp_path, monkeypatch, over, code):
+        cert = self.certificate(gap=F(1, 4) + over)
+        monkeypatch.setattr(cli, "verify_lift", lambda *args, **kwargs: cert)
+        argv = ["verify", two_point_files["lift"], two_point_files["path"], "--tol", "1/4"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == code
+
+    def test_verify_reads_tol_before_the_work(self, two_point_files, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_lift ran before --tol was read")
+
+        monkeypatch.setattr(cli, "verify_lift", refuse)
+        out = tmp_path / "cert.json"
+        for extra in ([], ["--out", str(out)]):
+            argv = ["verify", two_point_files["lift"], two_point_files["path"], "--tol", "1/0"]
+            assert main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: zero denominator in '1/0'\n"
+        assert not out.exists()
 
 
 @functools.cache
@@ -625,7 +698,7 @@ FILE_COMMANDS = {
 }
 FUZZ_VALUES = (
     None, True, 0, -1, 0.5, "", "x", "0/1", "1/2", "-1/2", "3/2", "1/0",
-    [], {}, ["0/1", "1/1"], [["0/1", "1/1"]],
+    [], {}, ["0/1", "1/1"], [["0/1", "1/1"]], "1/" + "7" * 5000,
 )
 
 

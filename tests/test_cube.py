@@ -72,7 +72,7 @@ class TestGEval:
         with pytest.raises(PreconditionError, match=r"^expected 2 coordinates, got 3$"):
             cube._check_point(interp, (0, 0, 0))
         for bad, text in (((F(3, 2), 0), "3/2"), ((0, "-1/3"), "-1/3"), ((2, 0), "2")):
-            with pytest.raises(PreconditionError, match=rf"^coordinate {text} outside \[0, 1\]$"):
+            with pytest.raises(PreconditionError, match=rf"^time {text} outside \[0, 1\]$"):
                 cube._check_point(interp, bad)
 
 

@@ -605,6 +605,43 @@ class TestReliftNear:
         assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
         assert (relifted, drift) == relift_near_oracle(prev, beta, F(1))
 
+    def test_piece_rematched_at_its_right_end_sets_the_drift(self):
+        """The mirror case: the midpoint that sets the drift lies on the
+        piece whose right end alone is rematched, above the gap and the
+        midpoint of the piece that starts there."""
+        space = two_point_space(F(1, 2))
+        a, b = dirac(space, "a"), dirac(space, "b")
+        prev = lift_of(PolygonalPath(space, (Z, F(1)), (mixture(b, a, F(1, 2)), b)))
+        beta = PolygonalPath(
+            space, (Z, F(1, 2), F(1)), (mixture(b, a, F(1, 2)), mixture(b, a, F(1, 3)), b)
+        )
+        relifted, drift = relift_near(prev, beta, F(1))
+        first, second = relifted.segments
+        assert relifted.vertices[0] == prev.vertices[0]
+        assert relifted.vertices[2] == prev.vertices[1]
+        assert prokhorov(law(prev.eval(F(1, 2))), beta.eval(F(1, 2))) == F(1, 12)
+        assert kyfan_rho(prev.eval(F(3, 4)), second.eval(F(1, 2))) == F(1, 24)
+        assert kyfan_rho(prev.eval(F(1, 4)), first.eval(F(1, 2))) == drift == F(1, 8)
+        assert drift == sup_rho_on_grid(prev, relifted, certification_grid(relifted))
+        assert (relifted, drift) == relift_near_oracle(prev, beta, F(1))
+
+    def test_rematched_point_keeps_its_unmoved_neighbours(self):
+        """One grid point is rematched and its neighbours carry prev's law:
+        they are stored, so the pieces beside the rematched point stay one
+        grid cell wide and the relift keeps beta's law at the neighbours."""
+        space = two_point_space(F(1, 2))
+        a, b = dirac(space, "a"), dirac(space, "b")
+        prev = lift_of(PolygonalPath(space, (Z, F(1)), (mixture(b, a, F(1, 2)), b)))
+        quarters = (Z, F(1, 4), F(1, 2), F(3, 4), F(1))
+        weights = (F(1, 2), F(3, 8), F(1, 6), F(1, 8), Z)  # prev's law but at t = 1/2
+        beta = PolygonalPath(space, quarters, tuple(mixture(b, a, w) for w in weights))
+        relifted, drift = relift_near(prev, beta, F(1, 3))  # grid of quarters
+        assert relifted.breakpoints == quarters
+        assert relifted.vertices[1] == prev.eval(F(1, 4))
+        assert relifted.vertices[3] == prev.eval(F(3, 4))
+        assert all(law(relifted.eval(t)) == beta.eval(t) for t in quarters)
+        assert (relifted, drift) == relift_near_oracle(prev, beta, F(1, 3))
+
     @given(relift_cases(), st.lists(fractions01(97), min_size=3, max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_keeping_matches_the_full_route(self, case, times):
@@ -725,6 +762,10 @@ class TestLiftPath:
         assert cert.endpoint_ok == (True, True)
         assert lift.eval(Z) == x_start
         assert lift.eval(F(1)) == x_end
+
+    def test_decay_budgets_worked_example(self):
+        """eps_n = tol * 5^(2 - n); budget n is 5 * (eps_n + eps_{n+1})."""
+        assert decay_budgets(F(1, 25), 3) == ([1, F(1, 5), F(1, 25)], [6, F(6, 5)])
 
     def test_relifts_store_no_vertex_prev_already_fixes(self):
         """The demo_lift --seed 0 instance at tol 1/200 lifts to 150

@@ -152,7 +152,7 @@ class TestMixture:
     def test_parameter_range(self):
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
         mu = dirac(space, "a")
-        with pytest.raises(PreconditionError, match=r"^mixture parameter 3/2 outside \[0, 1\]$"):
+        with pytest.raises(PreconditionError, match=r"^time 3/2 outside \[0, 1\]$"):
             mixture(mu, mu, F(3, 2))
 
     @given(space_with(n_measures=2), fractions01())
