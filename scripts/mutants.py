@@ -41,7 +41,9 @@ MUTANTS = [
     ("relift-midpoint-at-one-third", LIFTING,
      "seg.eval(Fraction(1, 2))", "seg.eval(Fraction(1, 3))", ["tests/test_lifting.py"]),
     ("relift-keep-without-neighbours", LIFTING,
-     "any(moved[k : k + 3])", "moved[k + 1]", ["tests/test_lifting.py"]),
+     "any(moved[j : j + 3])", "moved[j + 1]", ["tests/test_lifting.py"]),
+    ("relift-cross-multiplication-swapped", LIFTING,
+     "x * bd != y * hd", "x * hd != y * bd", ["tests/test_lifting.py"]),
     ("refined-grid-without-plus-one", LIFTING,
      "math.floor(1 / eps) + 1 if", "math.floor(1 / eps) if", ["tests/test_golden.py"]),
     ("decay-budget-same-round", LIFTING,
@@ -50,6 +52,8 @@ MUTANTS = [
      "math.ceil(2 * alpha.lipschitz / eps)", "math.ceil(alpha.lipschitz / eps)",
      ["tests/test_lifting.py"]),
     # segment lifts, the sampled path's screen and verify_lift's continuity entries
+    ("breakpoint-ticks-not-strict", LIFTING,
+     "if any(lo >= hi for lo, hi in", "if any(lo > hi for lo, hi in", ["tests/test_cli.py"]),
     ("transfer-walk-strict", LIFTING,
      "elif rest >= right - left:", "elif rest > right - left:", ["tests/test_golden.py"]),
     ("tv-screen-factor-four", LIFTING,

@@ -8,7 +8,7 @@ contracts rho at rate 1.  It caches the common refinement of its
 endpoint slabs as (right, i, j) pieces over one denominator plus the
 cell masses.  At local time 0 and 1 it hands back its stored ends x and
 y, as ``mixture`` hands back mu and nu; an evaluation at any other
-s = p / q, one reduced integer pair, is one walk over the pieces on
+s = p / q, an integer pair, is one walk over the pieces on
 integers over den * q, with a "mass still to move" counter per cell,
 merging equal neighbours.  rho between two local times is the Ky Fan
 sweep of cached per-level tail masses scaled by their distance.
@@ -19,20 +19,21 @@ breakpoint, a measure or a random variable, checked once for both.
 Paths own time: ``spaces._unit``, the one time rule, reads t in [0, 1]
 as a reduced pair p / r; over the lcm den of the breakpoints, t lies in the
 piece of the last tick k <= p * den // r, whose mixture or segment lift
-takes t's local time there: 0 at a breakpoint, which thus returns its
-stored vertex (1 at t = 1).  Grids are tick sets, each point a Fraction
-once.  ``lift_polygonal`` alone checks the endpoint variables against
-the path; interior vertices are chained by matching.  A Lipschitz path
-of measures is approximated by polygonals on uniform grids, which
-sample it at 0 and 1 exactly, and lifted iteratively, each round
-staying rho-close to the previous one (the 5-epsilon rebuild), with a
+takes t's local time there as an integer pair: 0 at a breakpoint,
+which thus returns its stored vertex (1 at t = 1).  Grids are integer
+ticks, made Fractions only where a time is stored or reported.
+``lift_polygonal`` alone checks the endpoint variables against the
+path; interior vertices are chained by matching.  A Lipschitz path of
+measures is approximated by polygonals on uniform grids, which sample
+it at 0 and 1 exactly, and lifted iteratively, each round staying
+rho-close to the previous one (the 5-epsilon rebuild), with a
 Certificate recording every verified quantity as an exact rational.
-A relift decides keep-or-rematch on laws alone: where the previous
-lift's law path equals the target at a grid point, its value is the
-match, and a max-flow runs elsewhere.  As the segment lift from S(a) to
-S(b) is S on [a, b], a relift stores only the old breakpoints and points
-rematched or next to one, evaluating the old lift only there and at
-midpoints of pieces with a rematched end.
+A relift decides keep-or-rematch on laws alone, by cross-multiplying
+their weights: where the previous lift's law path equals the target at
+a grid point, its value is the match, and a max-flow runs elsewhere.
+As the segment lift from S(a) to S(b) is S on [a, b], a relift stores
+only the old breakpoints and points rematched or next to one, evaluating
+the old lift only there and at midpoints of pieces with a rematched end.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .prokhorov import _kyfan_from_tails, _level_tails, _tv_sum, prokhorov, prokhorov_coupling
@@ -56,7 +57,7 @@ from .randomvars import (
     realize_coupling,
     refinement,
 )
-from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, _time, _unit, mixture, same_space
+from .spaces import ONE, ZERO, FiniteMetricSpace, Measure, _mix, _time, _unit, same_space
 
 DEFAULT_GRID = 257  # odd count; avoids aliasing with power-of-two breakpoints
 
@@ -135,7 +136,9 @@ class SegmentLift:
 
     def eval(self, s: Fraction) -> SimpleRandomVariable:
         """The value at local time s: x at 0 and y at 1 as stored, else one walk."""
-        num, q = _unit(s)
+        return self._at(*_unit(s))
+
+    def _at(self, num: int, q: int) -> SimpleRandomVariable:  # s = num / q, not reduced
         if num in (0, q):
             return self.y if num else self.x
         return transfer_blocks(self.space, *self.refinement, self.masses, num, q)
@@ -164,7 +167,7 @@ class _Polygonal:
         bps = self.breakpoints
         if len(bps) < 2 or bps[0] != ZERO or bps[-1] != ONE:
             raise PreconditionError("breakpoints must run from 0 to 1")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
+        if any(lo >= hi for lo, hi in zip(self.ticks[1], self.ticks[1][1:])):
             raise PreconditionError("breakpoints must be strictly increasing")
         if len(self.vertices) != len(bps):
             raise PreconditionError("one vertex measure per breakpoint required")
@@ -177,21 +180,39 @@ class _Polygonal:
         den = math.lcm(*(t.denominator for t in self.breakpoints))
         return den, tuple(t.numerator * (den // t.denominator) for t in self.breakpoints)
 
-    def locate(self, t: Fraction) -> tuple[int, Fraction]:
-        """The piece [t_i, t_{i+1}] that holds t in [0, 1] (the last holds 1),
-        and t's local time (t - t_i) / (t_{i+1} - t_i) in it: (i, local time)."""
-        p, r = _unit(t)
+    def locate(self, t: Fraction) -> tuple[int, int, int]:
+        """The piece [t_i, t_{i+1}] that holds t in [0, 1] (the last holds 1), and
+        t's local time (t - t_i) / (t_{i+1} - t_i) = num / q in it: (i, num, q)."""
+        return self._piece(*_unit(t))
+
+    def _piece(self, p: int, r: int) -> tuple[int, int, int]:
+        """locate at t = p / r; neither pair need be reduced."""
         den, ticks = self.ticks
         i = min(bisect_right(ticks, p * den // r), len(ticks) - 1) - 1
-        return i, Fraction(p * den - ticks[i] * r, (ticks[i + 1] - ticks[i]) * r)
+        return i, p * den - ticks[i] * r, (ticks[i + 1] - ticks[i]) * r
 
 
 class PolygonalPath(_Polygonal):
     """Piecewise-affine path of measures with prescribed vertices."""
 
     def eval(self, t: Fraction) -> Measure:
-        i, s = self.locate(t)
-        return mixture(self.vertices[i], self.vertices[i + 1], s)
+        i, num, q = self.locate(t)
+        return _mix(self.vertices[i], self.vertices[i + 1], num, q)
+
+    def _unreduced(self, den: int, ks: Sequence[int]) -> Iterator[tuple[list[int], int]]:
+        """Per sorted tick k / den, den a multiple of ticks[0]: (nums, den), unreduced."""
+        ends, i = [k * (den // self.ticks[0]) for k in self.ticks[1]], 0
+        for k in ks:
+            while k >= ends[i + 1] and i + 2 < len(ends):
+                i += 1
+            a, b, q = self.vertices[i], self.vertices[i + 1], ends[i + 1] - ends[i]
+            ca, cb = (q - k + ends[i]) * b.den, (k - ends[i]) * a.den
+            yield [ca * x + cb * y for x, y in zip(a.nums, b.nums)], q * a.den * b.den
+
+    def _differs(self, other: PolygonalPath, den: int, ks: Sequence[int]) -> list[bool]:
+        """Per sorted tick k / den, whether self and other differ, by cross-multiplication."""
+        pairs = zip(self._unreduced(den, ks), other._unreduced(den, ks))
+        return [any(x * bd != y * hd for x, y in zip(hn, bn)) for (hn, hd), (bn, bd) in pairs]
 
 
 class SampledPath:
@@ -277,8 +298,8 @@ class LiftedPath(_Polygonal):
         return tuple(map(SegmentLift, self.vertices, self.vertices[1:]))
 
     def eval(self, t: Fraction) -> SimpleRandomVariable:
-        i, s = self.locate(t)
-        return self.segments[i].eval(s)
+        i, num, q = self.locate(t)
+        return self.segments[i]._at(num, q)
 
     def law_path(self) -> PolygonalPath:
         """The exact polygonal of laws this path lifts."""
@@ -328,13 +349,13 @@ def approximate_polygonal(alpha: SampledPath, eps: Fraction) -> PolygonalPath:
     return PolygonalPath(alpha.space, bps, verts)
 
 
-def _refined_grid(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> list[Fraction]:
+def _refined_grid(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[int, list[int]]:
     # pieces of prev are rho-Lipschitz at rate 1/length, so relative
     # sublength < eps keeps the oscillation below eps
     parts = math.floor(1 / eps) + 1 if eps > ZERO else 1
     den, ticks = prev.ticks
     fine = [k for lo, hi in zip(ticks, ticks[1:]) for k in range(lo * parts, hi * parts, hi - lo)]
-    return _times(*_union([(den * parts, fine), beta.ticks]))  # beta's ticks hold 1
+    return _union([(den * parts, fine), beta.ticks])  # beta's ticks hold 1
 
 
 def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[LiftedPath, Fraction]:
@@ -362,21 +383,20 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
     if eps < ZERO:
         raise PreconditionError("closeness budget must be nonnegative")
     same_space(prev.space, beta.space)
-    grid = _refined_grid(prev, beta, eps)
+    den, ks = _refined_grid(prev, beta, eps)
     have = prev.law_path()
     if beta.vertices[0] != have.vertices[0]:
         raise PreconditionError("target path differs from prev's law at t = 0")
     if beta.vertices[-1] != have.vertices[-1]:
         raise PreconditionError("target path differs from prev's law at t = 1")
-    # moved[k + 1]: interior point k is rematched; moved[k : k + 3] spans k and its neighbours
-    moved = [False, False, *(have.eval(t) != beta.eval(t) for t in grid[1:-1]), False, False]
-    breaks = set(prev.breakpoints)
-    keep = [k for k, t in enumerate(grid) if t in breaks or any(moved[k : k + 3])]
-    variables, drift = [], ZERO
-    for k in keep:
-        t = grid[k]
+    # moved[j + 1]: interior point j is rematched; moved[j : j + 3] spans j and its neighbours
+    moved = [False, False, *have._differs(beta, den, ks[1:-1]), False, False]
+    breaks = {k * (den // prev.ticks[0]) for k in prev.ticks[1]}
+    keep = [j for j, k in enumerate(ks) if k in breaks or any(moved[j : j + 3])]
+    times, variables, drift = [Fraction(ks[j], den) for j in keep], [], ZERO
+    for j, t in zip(keep, times):
         value = prev.eval(t)
-        if moved[k + 1]:  # one coupling serves both the budget check and the match
+        if moved[j + 1]:  # one coupling serves both the budget check and the match
             gap, witness = prokhorov_coupling(law(value), beta.eval(t))
             if gap > eps:
                 raise PreconditionError(
@@ -385,10 +405,10 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
             drift = max(drift, gap)
             value = realize_coupling(value, witness)
         variables.append(value)
-    relifted = LiftedPath(prev.space, tuple(grid[k] for k in keep), tuple(variables))
+    relifted = LiftedPath(prev.space, tuple(times), tuple(variables))
     for seg, j, k in zip(relifted.segments, keep, keep[1:]):
         if moved[j + 1] or moved[k + 1]:  # one grid cell; else seg restricts prev
-            mid = (grid[j] + grid[k]) / 2
+            mid = Fraction(ks[j] + ks[k], 2 * den)
             drift = max(drift, kyfan_rho(prev.eval(mid), seg.eval(Fraction(1, 2))))
     return relifted, drift
 

@@ -34,14 +34,23 @@ from .spaces import FiniteMetricSpace, Measure
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
+_TOO_LONG = "result has too many digits to write"
+
+
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # an integer past the interpreter's str() digit limit
+        raise PreconditionError(_TOO_LONG) from None
 
 
 def ratio_str(num: int, den: int) -> str:
     """frac_str(Fraction(num, den)), reduced by the gcd without a Fraction."""
     g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
+    try:
+        return f"{num // g}/{den // g}"
+    except ValueError:
+        raise PreconditionError(_TOO_LONG) from None
 
 
 def _ratio(text: Any) -> tuple[int, int]:

@@ -167,6 +167,11 @@ def mixture(mu: Measure, nu: Measure, t: Fraction) -> Measure:
     At t = 0 and 1 it hands back mu and nu, already reduced."""
     p, q = _unit(t)
     same_space(mu.space, nu.space)
+    return _mix(mu, nu, p, q)
+
+
+def _mix(mu: Measure, nu: Measure, p: int, q: int) -> Measure:
+    """mixture at t = p / q, 0 <= p <= q, the pair not necessarily reduced."""
     if p in (0, q):
         return nu if p else mu
     den = math.lcm(mu.den, nu.den)

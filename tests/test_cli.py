@@ -124,6 +124,20 @@ class TestProkhorovCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: Exceeds the limit") and "Traceback" not in err
 
+    def test_result_past_the_digit_limit_exit_two(self, tmp_path, capsys):
+        # every input number is under the digit limit, but the weights' common
+        # denominator lcm(a, b), and so the distance's, is over it
+        a, b = 2 * (10**2400 + 267), 2 * (10**2399 + 99)
+        space = {"points": list("abcd"), "dist": [[f"{int(i != j)}/1" for j in range(4)]
+                                                  for i in range(4)]}
+        weights = [f"1/{a}", f"{a // 2 - 1}/{a}", f"1/{b}", f"{b // 2 - 1}/{b}"]
+        mu_file = write(tmp_path / "mu.json", {"space": space, "weights": weights})
+        nu_file = write(tmp_path / "nu.json", {"space": space, "weights": ["1/4"] * 4})
+        out = tmp_path / "report.json"
+        assert main(["prokhorov", mu_file, nu_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: result has too many digits to write\n"
+        assert not out.exists()
+
     def test_space_mismatch_is_precondition(self, tmp_path, crossing_pair, capsys):
         _, mu, _, mu_file, _ = crossing_pair
         other_space = validate_space(["a", "b"], [[Z, F(1, 2)], [F(1, 2), Z]])
@@ -556,6 +570,16 @@ class TestMalformedInput:
         assert main([command] + [two_point_files[k] for k in inputs]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    def test_equal_breakpoints_on_different_denominators_exit_two(self, two_point_files, capsys):
+        doc = Path(two_point_files["path"])
+        obj = json.loads(doc.read_text())
+        start, end = obj["vertices"]
+        obj["breakpoints"] = ["0/1", "1/2", "2/4", "1/1"]  # 1/2 twice, over 2 and 4
+        obj["vertices"] = [start, start, end, end]
+        write(doc, obj)
+        assert main(["lift", str(doc), two_point_files["ends"]]) == 2
+        assert capsys.readouterr().err == "error: breakpoints must be strictly increasing\n"
 
     def test_dist_not_a_matrix_exit_two(self, tmp_path, capsys):
         doc = {"space": {"points": ["a", "b"], "dist": 5}, "weights": ["1/2", "1/2"]}

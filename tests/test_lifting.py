@@ -588,6 +588,17 @@ class TestReliftNear:
         assert drift == finer_drift == 0
         assert calls and all(path is prev and t in prev.breakpoints for path, t in calls)
 
+    def test_one_path_on_two_grids_is_kept_whole(self):
+        """beta is prev's law path on breakpoints over another denominator: the
+        laws agree at every grid point, though their weights come over different
+        denominators, so nothing is rematched and the relift is prev."""
+        have, beta = one_path_on_two_grids()
+        prev = lift_of(have)
+        refuse = mock.Mock(side_effect=AssertionError("rematched"))
+        with mock.patch.object(lifting, "prokhorov_coupling", refuse):
+            relifted, drift = relift_near(prev, beta, F(1, 2))
+        assert relifted == prev and drift == 0
+
     def test_half_kept_piece_midpoint_sets_the_drift(self):
         """A piece with one kept vertex is no restriction of prev: its
         midpoint is evaluated, and here it sets the drift, above the gap."""
@@ -894,6 +905,36 @@ def lift_of(beta):
     return lift_polygonal(beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1]))
 
 
+@st.composite
+def law_path_pairs(draw):
+    """(have, beta), polygonals on one space over mixed denominators.  beta's
+    vertices are have's laws at beta's own breakpoints, some moved ("nested"
+    adds have's breakpoints, so the paths agree on whole pieces), or have's
+    own vertex measures on other breakpoints."""
+    space, *pool = draw(space_with(n_measures=3, max_size=3))
+    have_bps, beta_bps = draw(breakpoint_tuples()), draw(breakpoint_tuples())
+    have = PolygonalPath(space, have_bps, tuple(draw(st.sampled_from(pool)) for _ in have_bps))
+    mode = draw(st.sampled_from(["sampled", "nested", "same vertices"]))
+    if mode == "nested":
+        beta_bps = tuple(sorted(set(beta_bps) | set(have_bps)))
+    if mode == "same vertices":
+        verts = [have.vertices[k % len(have_bps)] for k in range(len(beta_bps))]
+    else:
+        verts = [have.eval(t) for t in beta_bps]
+        for k in draw(st.sets(st.integers(0, len(beta_bps) - 1), max_size=2)):
+            verts[k] = draw(st.sampled_from(pool))
+    return have, PolygonalPath(space, beta_bps, tuple(verts))
+
+
+def one_path_on_two_grids():
+    """The path a -> b twice, on breakpoints over 1 and over 3: equal laws at
+    every time, whose weights come over different denominators."""
+    space = two_point_space()
+    a, b = dirac(space, "a"), dirac(space, "b")
+    beta = PolygonalPath(space, (Z, F(1, 3), F(1)), (a, mixture(a, b, F(1, 3)), b))
+    return PolygonalPath(space, (Z, F(1)), (a, b)), beta
+
+
 class TestIntegerTimeAxis:
     """Lookups and grids on integer ticks against bisect and sets of Fractions,
     over breakpoints with mixed denominators."""
@@ -907,11 +948,17 @@ class TestIntegerTimeAxis:
         for t in data.draw(times_around(bps)):
             idx = min(bisect_right(bps, t) - 1, len(bps) - 2)
             local = (t - bps[idx]) / (bps[idx + 1] - bps[idx])
-            assert beta.locate(t) == lift.locate(t) == (idx, local)
+            i, num, q = beta.locate(t)
+            assert lift.locate(t) == (i, num, q) and i == idx and F(num, q) == local
+            # the integer lookup agrees on any pair for t, reduced or not
+            p, r = t.as_integer_ratio()
+            for k in (1, 3):
+                i, num, q = beta._piece(k * p, k * r)
+                assert i == idx and F(num, q) == local
             # both paths hand the one (piece, local time) to their segment rule
-            with mock.patch.object(lifting, "mixture", lambda mu, nu, s: (mu, nu, s)):
+            with mock.patch.object(lifting, "_mix", lambda mu, nu, n, d: (mu, nu, F(n, d))):
                 assert beta.eval(t) == (*beta.vertices[idx:idx + 2], local)
-            with mock.patch.object(SegmentLift, "eval", lambda seg, s: (seg, s)):
+            with mock.patch.object(SegmentLift, "_at", lambda seg, n, d: (seg, F(n, d))):
                 seg, s = lift.eval(t)
                 assert seg is lift.segments[idx] and s == local
 
@@ -933,8 +980,21 @@ class TestIntegerTimeAxis:
     @settings(max_examples=60, deadline=None)
     def test_refined_grid_matches_fraction_sets(self, prev_bps, beta_bps, eps):
         prev = lift_of(polygonal_on(prev_bps))
-        grid = lifting._refined_grid(prev, polygonal_on(beta_bps), eps)
-        assert grid == refined_grid_oracle(prev_bps, beta_bps, eps)
+        den, ticks = lifting._refined_grid(prev, polygonal_on(beta_bps), eps)
+        assert ticks == sorted(set(ticks))
+        assert lifting._times(den, ticks) == refined_grid_oracle(prev_bps, beta_bps, eps)
+
+    @given(law_path_pairs(), st.fractions(0, 1, max_denominator=9))
+    @example(one_path_on_two_grids(), F(1, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_keep_or_rematch_decision_matches_the_measures(self, pair, eps):
+        """The relift's integer decision equals have.eval(t) != beta.eval(t) at every
+        tick of its refined grid, with no Measure built."""
+        have, beta = pair
+        den, ks = lifting._refined_grid(lift_of(have), beta, eps)
+        with mock.patch.object(Measure, "__post_init__", side_effect=AssertionError("built")):
+            decision = have._differs(beta, den, ks)
+        assert decision == [have.eval(t) != beta.eval(t) for t in lifting._times(den, ks)]
 
     @given(breakpoint_tuples())
     @settings(max_examples=40, deadline=None)
@@ -952,7 +1012,8 @@ class TestIntegerTimeAxis:
         # the right end of a piece is local time 0 of the next, save at t = 1
         expected = (i + 1, Z) if u == 1 and i < len(bps) - 2 else (i, u)
         beta = polygonal_on(bps)
-        assert beta.locate(t) == expected
+        piece, num, q = beta.locate(t)
+        assert (piece, F(num, q)) == expected
         lift = lift_of(beta)
         calls = []
         with mock.patch.object(lifting, "transfer_blocks", lambda *args: calls.append(args[-2:])):
@@ -960,8 +1021,8 @@ class TestIntegerTimeAxis:
         i, local = expected
         if local in (0, 1):  # a piece end is its stored vertex, with no walk
             assert value is lift.vertices[i + int(local)] and calls == []
-        else:  # elsewhere the segment walk gets the local time as its reduced integer pair
-            assert calls == [local.as_integer_ratio()]
+        else:  # elsewhere the segment walk gets the local time as locate's integer pair
+            assert calls == [(num, q)]
 
     @given(breakpoint_tuples(), st.booleans())
     @settings(max_examples=40, deadline=None)

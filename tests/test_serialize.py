@@ -114,6 +114,12 @@ class TestFractionStrings:
         assert frac_str(Z) == "0/1"
         assert frac_str(F(1)) == "1/1"
 
+    def test_past_the_digit_limit_is_a_precondition(self):
+        huge = 10**5000 + 1
+        for write in (lambda: frac_str(F(1, huge)), lambda: ratio_str(2, 2 * huge)):
+            with pytest.raises(PreconditionError, match="^result has too many digits to write$"):
+                write()
+
     def test_rejects_floats_and_garbage(self):
         for bad in ("0.5", "1", "a/b", "1/0", 1, None, "1/2/3"):
             with pytest.raises(PreconditionError):
