@@ -31,7 +31,7 @@ from .errors import PreconditionError
 from .lifting import SegmentLift
 from .prokhorov import prokhorov
 from .randomvars import SimpleRandomVariable, canonical_rv, kyfan_rho, law
-from .spaces import ZERO, FiniteMetricSpace, Measure, _time, _unit, mixture, same_space
+from .spaces import ZERO, FiniteMetricSpace, Measure, _mix, _time, _unit, same_space
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def g_eval(interp: CubeInterpolation, ts) -> Measure:
     """Nested affine mixture of the corners at the given point."""
     ts = _check_point(interp, ts)
     acc = interp.corners[0]
-    for t, corner in zip(ts, interp.corners[1:]):
-        acc = mixture(acc, corner, t)
+    for t, corner in zip(ts, interp.corners[1:]):  # checked: one space, t in [0, 1]
+        acc = _mix(acc, corner, *t.as_integer_ratio())
     return acc
 
 

@@ -200,17 +200,15 @@ class PolygonalPath(_Polygonal):
         return _mix(self.vertices[i], self.vertices[i + 1], num, q)
 
     def _unreduced(self, den: int, ks: Sequence[int]) -> Iterator[tuple[list[int], int]]:
-        """Per sorted tick k / den, den a multiple of ticks[0]: (nums, den), unreduced."""
-        ends, i = [k * (den // self.ticks[0]) for k in self.ticks[1]], 0
+        """Per tick k / den in [0, 1]: the weights as (nums, den), unreduced."""
         for k in ks:
-            while k >= ends[i + 1] and i + 2 < len(ends):
-                i += 1
-            a, b, q = self.vertices[i], self.vertices[i + 1], ends[i + 1] - ends[i]
-            ca, cb = (q - k + ends[i]) * b.den, (k - ends[i]) * a.den
+            i, num, q = self._piece(k, den)
+            a, b = self.vertices[i], self.vertices[i + 1]
+            ca, cb = (q - num) * b.den, num * a.den
             yield [ca * x + cb * y for x, y in zip(a.nums, b.nums)], q * a.den * b.den
 
     def _differs(self, other: PolygonalPath, den: int, ks: Sequence[int]) -> list[bool]:
-        """Per sorted tick k / den, whether self and other differ, by cross-multiplication."""
+        """Per tick k / den, whether self and other differ, by cross-multiplication."""
         pairs = zip(self._unreduced(den, ks), other._unreduced(den, ks))
         return [any(x * bd != y * hd for x, y in zip(hn, bn)) for (hn, hd), (bn, bd) in pairs]
 

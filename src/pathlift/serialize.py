@@ -34,23 +34,21 @@ from .spaces import FiniteMetricSpace, Measure
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
-_TOO_LONG = "result has too many digits to write"
+def _text(num: int, den: int) -> str:
+    try:
+        return f"{num}/{den}"
+    except ValueError:  # an integer past the interpreter's str() digit limit
+        raise PreconditionError("result has too many digits to write") from None
 
 
 def frac_str(x: Fraction) -> str:
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:  # an integer past the interpreter's str() digit limit
-        raise PreconditionError(_TOO_LONG) from None
+    return _text(x.numerator, x.denominator)
 
 
 def ratio_str(num: int, den: int) -> str:
     """frac_str(Fraction(num, den)), reduced by the gcd without a Fraction."""
     g = math.gcd(num, den)
-    try:
-        return f"{num // g}/{den // g}"
-    except ValueError:
-        raise PreconditionError(_TOO_LONG) from None
+    return _text(num // g, den // g)
 
 
 def _ratio(text: Any) -> tuple[int, int]:
