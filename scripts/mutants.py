@@ -39,7 +39,7 @@ MUTANTS = [
     ("relift-midpoint-left-end-only", LIFTING,
      "if moved[j + 1] or moved[k + 1]:", "if moved[j + 1]:", ["tests/test_lifting.py"]),
     ("relift-midpoint-at-one-third", LIFTING,
-     "seg.eval(Fraction(1, 2))", "seg.eval(Fraction(1, 3))", ["tests/test_lifting.py"]),
+     "seg._at(1, 2)", "seg._at(1, 3)", ["tests/test_lifting.py"]),
     ("relift-keep-without-neighbours", LIFTING,
      "any(moved[j : j + 3])", "moved[j + 1]", ["tests/test_lifting.py"]),
     ("relift-cross-multiplication-swapped", LIFTING,
@@ -59,7 +59,17 @@ MUTANTS = [
     ("tv-screen-factor-four", LIFTING,
      "bound_num * 2 * near.den", "bound_num * 4 * near.den", ["tests/test_lifting.py"]),
     ("verify-interval-index", LIFTING,
-     "i += hi > ends[i + 1]", "i += hi >= ends[i + 1]", ["tests/test_lifting.py"]),
+     "lift._piece(lo, den)", "lift._piece(hi, den)", ["tests/test_lifting.py"]),
+    # the endpoint checks of lift_polygonal and verify_lift
+    ("lift-left-endpoint-unchecked", LIFTING,
+     "if law(x_start) != beta.vertices[0]:", "if False:", ["tests/test_lifting.py"]),
+    ("lift-right-endpoint-unchecked", LIFTING,
+     "if law(x_end) != beta.vertices[-1]:", "if False:", ["tests/test_lifting.py"]),
+    ("verify-endpoint-variables-by-law", LIFTING,
+     "(values[0] == endpoints[0], values[-1] == endpoints[1])",
+     "(laws[0] == law(endpoints[0]), laws[-1] == law(endpoints[1]))", ["tests/test_cli.py"]),
+    ("verify-right-endpoint-law-at-zero", LIFTING,
+     "laws[-1] == target.eval(ONE)", "laws[-1] == target.eval(ZERO)", ["tests/test_cli.py"]),
     ("kyfan-mass-invariant-off", "src/pathlift/randomvars.py",
      "or sum(map(sum, masses)) != den:", "and False:", ["tests/test_randomvars.py"]),
     # the exit-code decision of lift, relift and verify at its bound
@@ -69,12 +79,11 @@ MUTANTS = [
     ("verify-double-tol", CLI,
      "ok = cert.max_law_gap <= tol and", "ok = cert.max_law_gap <= 2 * tol and",
      ["tests/test_cli.py"]),
-    # the cube's rho rules: 0 past a later coordinate 1, rho_between past later 0s
+    # the cube's rho rules: 0 past a later coordinate 1, rho_apart past later 0s
     ("cube-zero-rule-on-a-later-zero", CUBE,
      "ZERO if per_axis - 1 in rest", "ZERO if 0 in rest", ["tests/test_cube.py"]),
-    ("cube-rho-between-from-the-axis-start", CUBE,
-     ".rho_between(points[k][a], points[j][a])", ".rho_between(ZERO, points[j][a])",
-     ["tests/test_cube.py"]),
+    ("cube-closed-form-one-cell-too-narrow", CUBE,
+     ".rho_apart(1, per_axis - 1)", ".rho_apart(1, per_axis)", ["tests/test_cube.py"]),
 ]
 
 # (name, file, old text, new text, why no test can kill it)

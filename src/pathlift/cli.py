@@ -71,8 +71,8 @@ def _read(reader, path):
 
 
 def cmd_prokhorov(args):
-    mu = measure_from_obj(load_json(args.mu))
-    nu = measure_from_obj(load_json(args.nu))
+    mu = _read(measure_from_obj, args.mu)
+    nu = _read(measure_from_obj, args.nu)
     value, witness = prokhorov_coupling(mu, nu)
     doc = {"q_coupling": frac_str(value)}
     if mu.space.size <= SUBSET_ORACLE_LIMIT:
@@ -103,7 +103,7 @@ def cmd_kyfan(args):
 
 def cmd_match(args):
     x = _read(rv_from_obj, args.x)
-    nu = measure_from_obj(load_json(args.nu))
+    nu = _read(measure_from_obj, args.nu)
     y = match_to_law(x, nu)
     rho = kyfan_rho(x, y)
     doc = {
@@ -138,7 +138,7 @@ def cmd_segment(args):
 
 
 def cmd_lift(args):
-    target = path_from_obj(load_json(args.path))
+    target = _read(path_from_obj, args.path)
     x_start, x_end = _read(endpoints_from_obj, args.endpoints)
     if isinstance(target, PolygonalPath):
         return _emit_lift(*_lift_exactly(target, x_start, x_end, args.grid), args.out)
@@ -154,8 +154,8 @@ def cmd_lift(args):
 
 
 def cmd_relift(args):
-    prev = lift_from_obj(load_json(args.lift))
-    target = path_from_obj(load_json(args.path))
+    prev = _read(lift_from_obj, args.lift)
+    target = _read(path_from_obj, args.path)
     if not isinstance(target, PolygonalPath):
         raise PreconditionError("relift expects a polygonal target path")
     eps = parse_frac(args.tol)
@@ -168,8 +168,8 @@ def cmd_relift(args):
 
 def cmd_verify(args):
     tol = parse_frac(args.tol) if args.tol is not None else ZERO
-    lift = lift_from_obj(load_json(args.lift))
-    target = path_from_obj(load_json(args.path))
+    lift = _read(lift_from_obj, args.lift)
+    target = _read(path_from_obj, args.path)
     cert = verify_lift(lift, target, grid_n=args.grid)
     _emit(certificate_to_obj(cert), args.out)
     ok = cert.max_law_gap <= tol and all(cert.endpoint_ok)

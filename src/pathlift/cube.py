@@ -14,7 +14,8 @@ both points, and the recursion from there is the same: one variable,
 rho 0.  If every later coordinate is 0, each segment lift below is taken
 at its stored start, so both values are the segment lift at
 (t_1, ..., t_{a-1}) taken at t_a and t_a', and rho is its closed form
-``rho_between``; the last axis is the case with no later coordinate.
+``rho_apart``; the last axis is the case with no later coordinate.
+A point's coordinates are read once, as the ``_unit`` pairs that key prefixes.
 ``cube_grid`` applies both rules over a uniform grid and runs
 ``kyfan_rho`` only on the other neighbour pairs.  The pointwise law
 equals the interpolation exactly at every rational point.
@@ -31,7 +32,7 @@ from .errors import PreconditionError
 from .lifting import SegmentLift
 from .prokhorov import prokhorov
 from .randomvars import SimpleRandomVariable, canonical_rv, kyfan_rho, law
-from .spaces import ZERO, FiniteMetricSpace, Measure, _mix, _time, _unit, same_space
+from .spaces import ZERO, FiniteMetricSpace, Measure, _mix, _unit, same_space
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,21 @@ class CubeInterpolation:
         return len(self.corners) - 1
 
 
-def _check_point(interp: CubeInterpolation, ts) -> tuple[Fraction, ...]:
-    ts = tuple(map(_time, ts))
-    if len(ts) != interp.dimension:
+def _check_point(interp: CubeInterpolation, ts) -> tuple[tuple[int, int], ...]:
+    """The point's coordinates, each read once by ``_unit``: reduced pairs (p, q)."""
+    units = tuple(map(_unit, ts))
+    if len(units) != interp.dimension:
         raise PreconditionError(
-            f"expected {interp.dimension} coordinates, got {len(ts)}"
+            f"expected {interp.dimension} coordinates, got {len(units)}"
         )
-    for t in ts:
-        _unit(t)
-    return ts
+    return units
 
 
 def g_eval(interp: CubeInterpolation, ts) -> Measure:
     """Nested affine mixture of the corners at the given point."""
-    ts = _check_point(interp, ts)
     acc = interp.corners[0]
-    for t, corner in zip(ts, interp.corners[1:]):  # checked: one space, t in [0, 1]
-        acc = _mix(acc, corner, *t.as_integer_ratio())
+    for (p, q), corner in zip(_check_point(interp, ts), interp.corners[1:]):  # one space
+        acc = _mix(acc, corner, p, q)
     return acc
 
 
@@ -84,24 +83,24 @@ class CubeLift:
         return tuple(canonical_rv(corner) for corner in self.interp.corners)
 
     @cached_property
-    def _segments(self) -> dict[tuple[Fraction, ...], SegmentLift]:
+    def _segments(self) -> dict[tuple[tuple[int, int], ...], SegmentLift]:
         """The segment lift of each prefix point queried so far."""
         return {}
 
-    def segment(self, prefix: tuple[Fraction, ...]) -> SegmentLift:
-        """The lift along the next axis at a prefix point of Fractions in [0, 1]:
-        from the value there (the first corner's at the empty prefix) to the next corner."""
+    def segment(self, prefix: tuple[tuple[int, int], ...]) -> SegmentLift:
+        """The lift along the next axis at a prefix point, given as ``_check_point``
+        pairs: from the value there (the first corner's at the empty prefix) to the next corner."""
         seg = self._segments.get(prefix)
         if seg is None:
-            start = self.segment(prefix[:-1]).eval(prefix[-1]) if prefix else self.corner_rvs[0]
+            start = self.segment(prefix[:-1])._at(*prefix[-1]) if prefix else self.corner_rvs[0]
             seg = self._segments[prefix] = SegmentLift(start, self.corner_rvs[len(prefix) + 1])
         return seg
 
     def eval(self, ts) -> SimpleRandomVariable:
         """Lifting twin of g_eval: the segment lift at the point's prefix,
         taken at its last coordinate."""
-        ts = _check_point(self.interp, ts)
-        return self.segment(ts[:-1]).eval(ts[-1])
+        units = _check_point(self.interp, ts)
+        return self.segment(units[:-1])._at(*units[-1])
 
 
 def cube_grid(lift: CubeLift, per_axis: int) -> tuple[list, list[Fraction], list]:
@@ -121,11 +120,11 @@ def cube_grid(lift: CubeLift, per_axis: int) -> tuple[list, list[Fraction], list
 
     def rho(k, a):
         # a later coordinate 1 puts both ends on one corner's variable; with every later
-        # coordinate 0 both ends are values of the segment lift at k's prefix before a
+        # coordinate 0 both are one cell apart on the segment lift at k's prefix before a
         rest, j = indices[k][a + 1:], k + strides[a]
         if any(rest):
             return ZERO if per_axis - 1 in rest else kyfan_rho(values[k], values[j])
-        return lift.segment(points[k][:a]).rho_between(points[k][a], points[j][a])
+        return lift.segment(tuple(map(_unit, points[k][:a]))).rho_apart(1, per_axis - 1)
 
     adjacent = [
         (k, k + strides[a], rho(k, a))

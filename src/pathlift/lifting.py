@@ -222,8 +222,8 @@ class SampledPath:
     and any violated pair forces a violated adjacent pair, so violations
     cannot go unnoticed; a pair is certified by total variation (q <= TV)
     or else by max-flow, both compared with the bound on integers.  Values
-    are memoized by the reduced pair (p, r) of their time, kept in time
-    order beside those pairs, so queries repeat cheaply.
+    are memoized by the reduced pair (p, r) of their time, the pairs also
+    kept in time order, so queries repeat cheaply.
     """
 
     def __init__(
@@ -235,8 +235,7 @@ class SampledPath:
         self.backbone: PolygonalPath | None = None  # set by from_polygonal only
         if self.lipschitz < ZERO:
             raise PreconditionError("Lipschitz constant must be nonnegative")
-        self._times: list[tuple[int, int]] = []  # sorted reduced pairs, beside their samples
-        self._samples: list[Measure] = []
+        self._times: list[tuple[int, int]] = []  # the keys of _values, sorted by time
         self._values: dict[tuple[int, int], Measure] = {}
 
     @classmethod
@@ -261,14 +260,14 @@ class SampledPath:
             return cached
         value = self.fn(t)
         same_space(value.space, self.space)
-        times, samples, lo, hi = self._times, self._samples, 0, len(self._times)
+        times, lo, hi = self._times, 0, len(self._times)
         while lo < hi:  # bisect_right on integers: t < n / d iff p * d < n * r
             mid = (lo + hi) // 2
             n, d = times[mid]
             lo, hi = (lo, mid) if p * d < n * r else (mid + 1, hi)
         ln, ld = self.lipschitz.as_integer_ratio()
-        for k in range(max(lo - 1, 0), min(lo + 1, len(times))):
-            (n, d), near = times[k], samples[k]
+        for n, d in times[max(lo - 1, 0) : lo + 1]:
+            near = self._values[n, d]
             bound_num, bound_den = ln * abs(p * d - n * r), ld * r * d
             if _tv_sum(near, value) * bound_den <= bound_num * 2 * near.den * value.den:
                 continue  # q <= TV, since A lies inside A^eps
@@ -281,7 +280,6 @@ class SampledPath:
                     f"{self.lipschitz} * {abs(t - nb)}"
                 )
         times.insert(lo, (p, r))
-        samples.insert(lo, value)
         self._values[p, r] = value
         return value
 
@@ -406,8 +404,8 @@ def relift_near(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[L
     relifted = LiftedPath(prev.space, tuple(times), tuple(variables))
     for seg, j, k in zip(relifted.segments, keep, keep[1:]):
         if moved[j + 1] or moved[k + 1]:  # one grid cell; else seg restricts prev
-            mid = Fraction(ks[j] + ks[k], 2 * den)
-            drift = max(drift, kyfan_rho(prev.eval(mid), seg.eval(Fraction(1, 2))))
+            i, num, q = prev._piece(ks[j] + ks[k], 2 * den)  # the cell's midpoint
+            drift = max(drift, kyfan_rho(prev.segments[i]._at(num, q), seg._at(1, 2)))
     return relifted, drift
 
 
@@ -476,14 +474,12 @@ def verify_lift(
     values = [lift.eval(t) for t in grid]
     laws = [law(v) for v in values]
     gaps = [prokhorov(lw, target.eval(t)) for t, lw in zip(grid, laws)]
-    # the grid holds every breakpoint: an interval lies in the piece i whose
-    # right end is the first at or after its own, its two local times
-    # (hi - lo) / (piece length) apart
-    ends = [k * (den // lift.ticks[0]) for k in lift.ticks[1]]
-    continuity, i = [], 0
+    # the grid holds every breakpoint: an interval lies in the piece i of its
+    # left end, its two local times (hi - lo) / den over the piece's length apart
+    continuity = []
     for lo, hi in zip(ks, ks[1:]):
-        i += hi > ends[i + 1]
-        continuity.append(lift.segments[i].rho_apart(hi - lo, ends[i + 1] - ends[i]))
+        i, _, q = lift._piece(lo, den)
+        continuity.append(lift.segments[i].rho_apart((hi - lo) * lift.ticks[0], q))
     if endpoints is not None:
         endpoint_ok = (values[0] == endpoints[0], values[-1] == endpoints[1])
     else:

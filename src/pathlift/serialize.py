@@ -392,13 +392,16 @@ def write_json_atomic(path: str, obj: Any) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # read by setting and restoring: the CLI is single-threaded
     os.umask(umask)
-    handle, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(handle, "w", encoding="utf-8") as out:
-            os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
-            out.write(dumps(obj))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        handle, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8") as out:
+                os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
+                out.write(dumps(obj))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise PreconditionError(f"{path}: {exc.strerror or exc}") from exc

@@ -138,6 +138,16 @@ class TestProkhorovCommand:
         assert capsys.readouterr().err == "error: result has too many digits to write\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing_dir/r.json", "a_dir"], ids=["no-dir", "is-dir"])
+    def test_unwritable_out_exit_two(self, tmp_path, crossing_pair, capsys, where):
+        _, _, _, mu_file, _ = crossing_pair
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / where
+        assert main(["prokhorov", mu_file, mu_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_space_mismatch_is_precondition(self, tmp_path, crossing_pair, capsys):
         _, mu, _, mu_file, _ = crossing_pair
         other_space = validate_space(["a", "b"], [[Z, F(1, 2)], [F(1, 2), Z]])
@@ -579,7 +589,7 @@ class TestMalformedInput:
         obj["vertices"] = [start, start, end, end]
         write(doc, obj)
         assert main(["lift", str(doc), two_point_files["ends"]]) == 2
-        assert capsys.readouterr().err == "error: breakpoints must be strictly increasing\n"
+        assert capsys.readouterr().err == f"error: {doc}: breakpoints must be strictly increasing\n"
 
     def test_dist_not_a_matrix_exit_two(self, tmp_path, capsys):
         doc = {"space": {"points": ["a", "b"], "dist": 5}, "weights": ["1/2", "1/2"]}
@@ -594,7 +604,7 @@ class TestMalformedInput:
         write(Path(mu_file), doc)
         assert main(["prokhorov", mu_file, mu_file]) == 2
         err = capsys.readouterr().err
-        assert err == "error: rational expected as \"p/q\" string, got '3/4\\n'\n"
+        assert err == f"error: {mu_file}: rational expected as \"p/q\" string, got '3/4\\n'\n"
 
     def test_rational_past_the_digit_limit_exit_two(self, crossing_pair, capsys):
         _, _, _, mu_file, _ = crossing_pair
@@ -603,7 +613,7 @@ class TestMalformedInput:
         write(Path(mu_file), doc)
         assert main(["prokhorov", mu_file, mu_file]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: too many digits in rational 1/{'7' * 18}...\n"
+        assert err == f"error: {mu_file}: too many digits in rational 1/{'7' * 18}...\n"
 
     def test_malformed_second_variable_is_named(self, two_point_files, tmp_path, capsys):
         bad = write(tmp_path / "bad.json", {"blocks": {}})

@@ -67,8 +67,8 @@ class TestGEval:
     def test_point_check_texts_and_accepted_types(self):
         space = three_point_space()
         interp = CubeInterpolation(space, tuple(dirac(space, p) for p in "abc"))
-        assert cube._check_point(interp, ("1/2", 1)) == (F(1, 2), F(1))
-        assert cube._check_point(interp, (0, F(3, 4))) == (Z, F(3, 4))
+        assert cube._check_point(interp, ("1/2", 1)) == ((1, 2), (1, 1))
+        assert cube._check_point(interp, (0, F(6, 8))) == ((0, 1), (3, 4))
         with pytest.raises(PreconditionError, match=r"^expected 2 coordinates, got 3$"):
             cube._check_point(interp, (0, 0, 0))
         for bad, text in (((F(3, 2), 0), "3/2"), ((0, "-1/3"), "-1/3"), ((2, 0), "2")):
@@ -190,9 +190,9 @@ class TestPrefixTree:
                 built.append(self)
                 super().__post_init__()
 
-            def eval(self, s):
-                evaluated.append(s)
-                return super().eval(s)
+            def _at(self, num, q):
+                evaluated.append((num, q))
+                return super()._at(num, q)
 
         monkeypatch.setattr(cube, "SegmentLift", Counted)
         rng = random.Random(9)
@@ -207,6 +207,17 @@ class TestPrefixTree:
         for point in product(axis, repeat=3):
             lift.eval(point)
         assert (len(built), len(evaluated)) == (31, 280)
+
+    def test_grid_makes_no_public_segment_evaluation(self, monkeypatch):
+        """Points reach their segment lifts as checked pairs, through ``_at``."""
+        calls, eval_ = [], SegmentLift.eval
+        monkeypatch.setattr(SegmentLift, "eval", lambda seg, s: calls.append(s) or eval_(seg, s))
+        rng = random.Random(12)
+        space = gen.rand_space(rng, 4)
+        corners = tuple(gen.rand_measure(rng, space) for _ in range(4))
+        points, gaps, adjacent = cube.cube_grid(CubeLift(CubeInterpolation(space, corners)), 5)
+        assert (len(points), len(gaps), len(adjacent)) == (125, 125, 300)
+        assert calls == []
 
     def test_two_lifts_of_one_interpolation_agree(self):
         rng = random.Random(10)

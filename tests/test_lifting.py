@@ -332,10 +332,12 @@ class TestLiftPolygonal:
 
     def test_endpoint_mismatch_rejected(self):
         space = two_point_space()
-        x = canonical_rv(dirac(space, "a"))
+        x, y = canonical_rv(dirac(space, "a")), canonical_rv(dirac(space, "b"))
         beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "b")))
-        with pytest.raises(PreconditionError, match="endpoint law"):
+        with pytest.raises(PreconditionError, match="^right endpoint law differs"):
             lift_polygonal(beta, x, x)
+        with pytest.raises(PreconditionError, match="^left endpoint law differs"):
+            lift_polygonal(beta, y, y)
 
 
 class TestSampledPath:
@@ -460,7 +462,7 @@ class TestSampledPath:
             assert value == beta.eval(t) and first.setdefault(t, value) is value
         assert sorted(sampled) == sorted(set(times))
         assert [F(*pr) for pr in path._times] == sorted(set(times))
-        assert path._samples == [first[t] for t in sorted(set(times))]
+        assert [path._values[pr] for pr in path._times] == [first[t] for t in sorted(set(times))]
 
     @given(st.lists(st.fractions(0, 1, max_denominator=16), min_size=2, max_size=12, unique=True))
     @settings(max_examples=60, deadline=None)
