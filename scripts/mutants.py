@@ -51,13 +51,17 @@ MUTANTS = [
     ("approximation-grid-halved", LIFTING,
      "math.ceil(2 * alpha.lipschitz / eps)", "math.ceil(alpha.lipschitz / eps)",
      ["tests/test_lifting.py"]),
-    # segment lifts, the sampled path's screen and verify_lift's continuity entries
+    # segment lifts, the sampled path's modulus check and screen, verify_lift's continuity
     ("breakpoint-ticks-not-strict", LIFTING,
      "if any(lo >= hi for lo, hi in", "if any(lo > hi for lo, hi in", ["tests/test_cli.py"]),
     ("transfer-walk-strict", LIFTING,
      "elif rest >= right - left:", "elif rest > right - left:", ["tests/test_golden.py"]),
     ("tv-screen-factor-four", LIFTING,
      "bound_num * 2 * near.den", "bound_num * 4 * near.den", ["tests/test_lifting.py"]),
+    ("modulus-check-factor-four", LIFTING,
+     "(hi - lo) * 2 * a.den", "(hi - lo) * 4 * a.den", ["tests/test_lifting.py"]),
+    ("modulus-check-whole-interval", LIFTING,
+     "ln * (hi - lo) * 2", "ln * den * 2", ["tests/test_lifting.py"]),
     ("verify-interval-index", LIFTING,
      "lift._piece(lo, den)", "lift._piece(hi, den)", ["tests/test_lifting.py"]),
     # the endpoint checks of lift_polygonal and verify_lift

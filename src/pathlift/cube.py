@@ -112,6 +112,7 @@ def cube_grid(lift: CubeLift, per_axis: int) -> tuple[list, list[Fraction], list
         raise PreconditionError("cube grid needs at least 2 points per axis")
     n = lift.interp.dimension
     axis = [Fraction(i, per_axis - 1) for i in range(per_axis)]
+    units = list(map(_unit, axis))  # each axis value read once, for prefix keys
     indices = list(product(range(per_axis), repeat=n))
     strides = [per_axis ** (n - 1 - a) for a in range(n)]  # k + strides[a]: k's neighbour along a
     points = [tuple(axis[i] for i in idx) for idx in indices]
@@ -124,7 +125,7 @@ def cube_grid(lift: CubeLift, per_axis: int) -> tuple[list, list[Fraction], list
         rest, j = indices[k][a + 1:], k + strides[a]
         if any(rest):
             return ZERO if per_axis - 1 in rest else kyfan_rho(values[k], values[j])
-        return lift.segment(tuple(map(_unit, points[k][:a]))).rho_apart(1, per_axis - 1)
+        return lift.segment(tuple(units[i] for i in indices[k][:a])).rho_apart(1, per_axis - 1)
 
     adjacent = [
         (k, k + strides[a], rho(k, a))

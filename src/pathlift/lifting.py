@@ -216,14 +216,14 @@ class PolygonalPath(_Polygonal):
 class SampledPath:
     """A measure path given by a sample function and a declared modulus.
 
-    q(path(s), path(t)) <= lipschitz * |s - t| is promised by the caller
-    and spot-checked at query time against the adjacent already-queried
-    times; by the triangle inequality this certifies every queried pair,
-    and any violated pair forces a violated adjacent pair, so violations
-    cannot go unnoticed; a pair is certified by total variation (q <= TV)
-    or else by max-flow, both compared with the bound on integers.  Values
-    are memoized by the reduced pair (p, r) of their time, the pairs also
-    kept in time order, so queries repeat cheaply.
+    q(path(s), path(t)) <= lipschitz * |s - t| is promised by the caller;
+    ``from_polygonal`` certifies it for every pair once, by total variation.
+    A path from a bare fn is spot-checked at query time against the adjacent
+    already-queried times; by the triangle inequality this certifies every
+    queried pair, and any violated pair forces a violated adjacent pair; a
+    pair is certified by total variation (q <= TV) or else by max-flow, both
+    compared with the bound on integers.  Values are memoized by the reduced
+    pair (p, r) of their time, so queries repeat cheaply.
     """
 
     def __init__(
@@ -235,20 +235,31 @@ class SampledPath:
         self.backbone: PolygonalPath | None = None  # set by from_polygonal only
         if self.lipschitz < ZERO:
             raise PreconditionError("Lipschitz constant must be nonnegative")
-        self._times: list[tuple[int, int]] = []  # the keys of _values, sorted by time
+        self._times: list[tuple[int, int]] = []  # the spot-checked keys of _values, sorted
         self._values: dict[tuple[int, int], Measure] = {}
 
     @classmethod
     def from_polygonal(
         cls, beta: PolygonalPath, lipschitz: Fraction | None = None
     ) -> "SampledPath":
-        """Wrap a polygonal, kept as the backbone; the default modulus
-        max_i 1/(t_{i+1} - t_i) is always valid because a mixture moves at
-        most |s - t| / length of mass per segment."""
+        """Wrap a polygonal, kept as the backbone, certifying its modulus once:
+        q <= TV, which moves at rate TV_i / l_i along piece i of length l_i, and
+        q = TV below the least positive distance, so max_i TV_i / l_i <= L is
+        exact.  The default modulus max_i 1 / l_i passes, as TV <= 1."""
+        den, ticks = beta.ticks
         if lipschitz is None:
-            den, ticks = beta.ticks
             lipschitz = Fraction(den, min(hi - lo for lo, hi in zip(ticks, ticks[1:])))
         path = cls(beta.space, beta.eval, lipschitz)
+        ln, ld = path.lipschitz.as_integer_ratio()
+        for i, (a, b) in enumerate(zip(beta.vertices, beta.vertices[1:])):
+            lo, hi, tv = ticks[i], ticks[i + 1], _tv_sum(a, b)
+            if tv * ld * den > ln * (hi - lo) * 2 * a.den * b.den:
+                raise PreconditionError(
+                    f"declared Lipschitz constant {path.lipschitz} violated: TV(path("
+                    f"{beta.breakpoints[i]}), path({beta.breakpoints[i + 1]})) = "
+                    f"{Fraction(tv, 2 * a.den * b.den)} > "
+                    f"{path.lipschitz} * {Fraction(hi - lo, den)}"
+                )
         path.backbone = beta
         return path
 
@@ -259,27 +270,28 @@ class SampledPath:
         if cached is not None:
             return cached
         value = self.fn(t)
-        same_space(value.space, self.space)
-        times, lo, hi = self._times, 0, len(self._times)
-        while lo < hi:  # bisect_right on integers: t < n / d iff p * d < n * r
-            mid = (lo + hi) // 2
-            n, d = times[mid]
-            lo, hi = (lo, mid) if p * d < n * r else (mid + 1, hi)
-        ln, ld = self.lipschitz.as_integer_ratio()
-        for n, d in times[max(lo - 1, 0) : lo + 1]:
-            near = self._values[n, d]
-            bound_num, bound_den = ln * abs(p * d - n * r), ld * r * d
-            if _tv_sum(near, value) * bound_den <= bound_num * 2 * near.den * value.den:
-                continue  # q <= TV, since A lies inside A^eps
-            gap = prokhorov(near, value)
-            if gap.numerator * bound_den > bound_num * gap.denominator:
-                nb = Fraction(n, d)
-                raise PreconditionError(
-                    f"declared Lipschitz constant {self.lipschitz} violated: "
-                    f"q(path({nb}), path({t})) = {gap} > "
-                    f"{self.lipschitz} * {abs(t - nb)}"
-                )
-        times.insert(lo, (p, r))
+        if self.backbone is None:  # from_polygonal has certified a backbone's modulus
+            same_space(value.space, self.space)
+            times, lo, hi = self._times, 0, len(self._times)
+            while lo < hi:  # bisect_right on integers: t < n / d iff p * d < n * r
+                mid = (lo + hi) // 2
+                n, d = times[mid]
+                lo, hi = (lo, mid) if p * d < n * r else (mid + 1, hi)
+            ln, ld = self.lipschitz.as_integer_ratio()
+            for n, d in times[max(lo - 1, 0) : lo + 1]:
+                near = self._values[n, d]
+                bound_num, bound_den = ln * abs(p * d - n * r), ld * r * d
+                if _tv_sum(near, value) * bound_den <= bound_num * 2 * near.den * value.den:
+                    continue  # q <= TV, since A lies inside A^eps
+                gap = prokhorov(near, value)
+                if gap.numerator * bound_den > bound_num * gap.denominator:
+                    nb = Fraction(n, d)
+                    raise PreconditionError(
+                        f"declared Lipschitz constant {self.lipschitz} violated: "
+                        f"q(path({nb}), path({t})) = {gap} > "
+                        f"{self.lipschitz} * {abs(t - nb)}"
+                    )
+            times.insert(lo, (p, r))
         self._values[p, r] = value
         return value
 

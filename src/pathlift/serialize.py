@@ -218,7 +218,7 @@ def path_from_obj(obj: Any) -> PolygonalPath | SampledPath:
     kind "polygonal" needs breakpoints and vertices.  kind "sampled"
     additionally needs "lipschitz"; the path is the piecewise-affine
     interpolation of the "samples" table when present, else of
-    breakpoints/vertices, spot-checked against the declared modulus.
+    breakpoints/vertices, its declared modulus checked once by ``from_polygonal``.
     """
     space = _space_of(obj, "path", "kind")
     kind = obj["kind"]

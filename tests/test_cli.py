@@ -58,6 +58,14 @@ def crossing_pair(tmp_path):
     return space, mu, nu, mu_file, nu_file
 
 
+TOO_SMALL = "declared Lipschitz constant 1/10 violated: TV(path(0), path(1)) = 1 > 1/10 * 1"
+
+
+def too_small_modulus(beta):
+    """A sampled path document on beta's table whose declared modulus 1/10 is too small."""
+    return {**polygonal_to_obj(beta), "kind": "sampled", "lipschitz": "1/10"}
+
+
 class TestProkhorovCommand:
     def test_identical_measures(self, tmp_path, crossing_pair, capsys):
         _, mu, _, mu_file, _ = crossing_pair
@@ -278,18 +286,17 @@ class TestLiftCommand:
         assert main(["lift", pf, ef]) == 2
         assert "endpoint law" in capsys.readouterr().err
 
-    def test_lipschitz_too_small_exit_two(self, tmp_path, capsys):
+    def test_lipschitz_too_small_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the modulus is certified as the file is read, before any lift round
         space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
         beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "b")))
-        doc = polygonal_to_obj(beta)
-        doc["kind"] = "sampled"
-        doc["lipschitz"] = "1/10"
-        pf = write(tmp_path / "path.json", doc)
+        pf = write(tmp_path / "path.json", too_small_modulus(beta))
         start = canonical_rv(dirac(space, "a"))
         end = canonical_rv(dirac(space, "b"))
         ef = self._endpoint_file(tmp_path, space, start, end)
+        monkeypatch.setattr(cli, "lift_path", lambda *a, **k: pytest.fail("lifted"))
         assert main(["lift", pf, ef, "--tol", "1/4", "--iters", "2"]) == 2
-        assert "Lipschitz" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {pf}: {TOO_SMALL}\n"
 
 
 class TestVerifyAndRelift:
@@ -306,6 +313,16 @@ class TestVerifyAndRelift:
         first = capsys.readouterr().out
         assert main(["verify", lf, pf, "--grid", "9"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_lipschitz_too_small_exit_two(self, tmp_path, capsys, monkeypatch):
+        space = validate_space(["a", "b"], [[Z, F(1)], [F(1), Z]])
+        beta = PolygonalPath(space, (Z, F(1)), (dirac(space, "a"), dirac(space, "b")))
+        lift = lift_polygonal(beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1]))
+        lf = write(tmp_path / "lift.json", lift_to_obj(lift))
+        pf = write(tmp_path / "path.json", too_small_modulus(beta))
+        monkeypatch.setattr(cli, "verify_lift", lambda *a, **k: pytest.fail("verified"))
+        assert main(["verify", lf, pf]) == 2
+        assert capsys.readouterr().err == f"error: {pf}: {TOO_SMALL}\n"
 
     def test_relift_within_budget(self, tmp_path, capsys):
         rng = random.Random(64)

@@ -46,6 +46,7 @@ from pathlift import gen, lifting
 from pathlift.lifting import (
     SegmentLift, _Polygonal, certification_grid, decay_budgets, sup_rho_on_grid
 )
+from pathlift.prokhorov import _tv_sum, total_variation
 
 F = Fraction
 Z = F(0)
@@ -372,14 +373,25 @@ class TestSampledPath:
 
     def test_total_variation_screen_certifies_polygonal_pairs(self, monkeypatch):
         # on a polygonal, TV between path points is at most |s - t| / piece
-        # length, so every neighbour pair is certified with no max-flow
-        calls = []
-        monkeypatch.setattr(lifting, "prokhorov", lambda mu, nu: calls.append(1))
+        # length: from_polygonal certifies every pair once, so its queries check
+        # nothing, while the same polygonal as a bare fn screens each neighbour
+        # pair by TV, with no max-flow
         beta = gen.rand_polygonal(random.Random(7), gen.rand_space(random.Random(8), 3), 4)
-        path = SampledPath.from_polygonal(beta)
-        for k in range(17):
-            path.eval(F(k, 16))
-        assert calls == []
+        certified = SampledPath.from_polygonal(beta)
+        calls = []
+
+        def tv_sum(mu, nu):
+            calls.append("tv")
+            return _tv_sum(mu, nu)
+
+        monkeypatch.setattr(lifting, "_tv_sum", tv_sum)
+        monkeypatch.setattr(lifting, "prokhorov", lambda mu, nu: calls.append("flow"))
+        screened = SampledPath(beta.space, beta.eval, certified.lipschitz)
+        for path, expected in ((certified, []), (screened, ["tv"] * 16)):
+            calls.clear()
+            for k in range(17):
+                assert path.eval(F(k, 16)) == beta.eval(F(k, 16))
+            assert calls == expected
 
     def test_screen_and_check_hold_with_equality(self, monkeypatch):
         # diracs at distance 1/10 queried at 1/3, then 5/6 (|dt| = 1/2): at L = 2
@@ -439,6 +451,64 @@ class TestSampledPath:
         message = "declared Lipschitz constant 3/2 violated: q(path(0), path(1/2)) = 1 > 3/2 * 1/2"
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             path.eval(F(1, 2))
+
+    @pytest.mark.parametrize(
+        "bps, ends, lipschitz, message",
+        [
+            # one piece of rate 1: 3/4 is below it, and 1 is the least modulus
+            ((Z, F(1)), "ab", F(3, 4), "TV(path(0), path(1)) = 1 > 3/4 * 1"),
+            ((Z, F(1)), "ab", F(1), None),
+            # the jump on a half piece moves at rate 2 > 3/2, though 1 <= 3/2
+            ((Z, F(1, 2), F(1)), "abb", F(3, 2), "TV(path(0), path(1/2)) = 1 > 3/2 * 1/2"),
+            ((Z, F(1, 2), F(1)), "aab", F(3, 2), "TV(path(1/2), path(1)) = 1 > 3/2 * 1/2"),
+            ((Z, F(1, 2), F(1)), "abb", F(2), None),
+        ],
+        ids=["one-piece", "one-piece-at-rate", "first-half", "second-half", "half-at-rate"],
+    )
+    def test_modulus_checked_per_piece_rate(self, bps, ends, lipschitz, message):
+        # diracs at distance 1, where q = TV: a piece's rate is TV / length
+        space = two_point_space()
+        beta = PolygonalPath(space, bps, tuple(dirac(space, p) for p in ends))
+        if message is None:
+            assert SampledPath.from_polygonal(beta, lipschitz).backbone is beta
+            return
+        text = f"declared Lipschitz constant {lipschitz} violated: {message}"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+            SampledPath.from_polygonal(beta, lipschitz)
+
+    @given(
+        metric_spaces(max_size=3),
+        breakpoint_tuples(max_inner=3, max_den=12),
+        st.fractions(0, 6, max_denominator=6),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_modulus_check_is_exact(self, space, bps, lipschitz, data):
+        """Accepted: q <= L |s - t| at random pairs.  Rejected: the first piece
+        whose TV / length exceeds L is named, and q exceeds L h between its left
+        end and h further, h small enough that q = TV there."""
+        beta = PolygonalPath(space, bps, tuple(data.draw(measures_on(space)) for _ in bps))
+        rates = [
+            (total_variation(a, b), hi - lo)
+            for a, b, lo, hi in zip(beta.vertices, beta.vertices[1:], bps, bps[1:])
+        ]
+        bad = [i for i, (tv, length) in enumerate(rates) if tv > lipschitz * length]
+        if not bad:
+            path = SampledPath.from_polygonal(beta, lipschitz)
+            for _ in range(4):
+                s, t = data.draw(fractions01(max_den=24)), data.draw(fractions01(max_den=24))
+                assert prokhorov(path.eval(s), path.eval(t)) <= lipschitz * abs(s - t)
+            return
+        i, (tv, length) = bad[0], rates[bad[0]]
+        text = (
+            f"declared Lipschitz constant {lipschitz} violated: "
+            f"TV(path({bps[i]}), path({bps[i + 1]})) = {tv} > {lipschitz} * {length}"
+        )
+        with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+            SampledPath.from_polygonal(beta, lipschitz)
+        least = min(d for row in space.dist for d in row if d > 0)
+        h = length * min(least, F(1)) / 2  # TV over h is at most least / 2
+        assert prokhorov(beta.eval(bps[i]), beta.eval(bps[i] + h)) > lipschitz * h
 
     @given(st.lists(st.fractions(0, 1, max_denominator=24), min_size=1, max_size=24), st.data())
     @settings(max_examples=60, deadline=None)
