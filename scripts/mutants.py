@@ -83,6 +83,10 @@ MUTANTS = [
     ("verify-double-tol", CLI,
      "ok = cert.max_law_gap <= tol and", "ok = cert.max_law_gap <= 2 * tol and",
      ["tests/test_cli.py"]),
+    # the subset oracle's prune, and the exit when the two Prokhorov routes disagree
+    ("subsets-prune-double-best", "src/pathlift/prokhorov.py",
+     "if excess <= best:", "if excess <= 2 * best:", ["tests/test_prokhorov.py"]),
+    ("prokhorov-oracle-guard-off", CLI, "if oracle != value:", "if False:", ["tests/test_cli.py"]),
     # the cube's rho rules: 0 past a later coordinate 1, rho_apart past later 0s
     ("cube-zero-rule-on-a-later-zero", CUBE,
      "ZERO if per_axis - 1 in rest", "ZERO if 0 in rest", ["tests/test_cube.py"]),

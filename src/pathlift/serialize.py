@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+import stat
 import tempfile
 from contextvars import ContextVar
 from fractions import Fraction
@@ -389,10 +390,21 @@ def load_json(path: str) -> Any:
 
 
 def write_json_atomic(path: str, obj: Any) -> None:
+    """Write obj as JSON to a temporary file and rename it to path, so that
+    path never holds half a report.  A path that exists and is not a
+    regular file (a FIFO, a device) is written in place, not renamed over."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # read by setting and restoring: the CLI is single-threaded
     os.umask(umask)
     try:
+        try:
+            in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        except OSError:
+            in_place = False  # a new path; any other fault is reported below
+        if in_place:
+            with open(path, "w", encoding="utf-8") as out:
+                out.write(dumps(obj))
+            return
         handle, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(handle, "w", encoding="utf-8") as out:

@@ -32,6 +32,7 @@ from pathlift import (
     validate_space,
 )
 from pathlift.omega import IntervalSet
+from pathlift.prokhorov import _upward_infimum
 from pathlift.serialize import parse_frac
 from pathlift.spaces import ONE, ZERO
 
@@ -90,6 +91,58 @@ def distinct_space(rng: random.Random, m: int):
             den = rng.choice((2 * 7 * 11, 2 * 9 * 13, 2 * 1009))
             d[i][j] = d[j][i] = Fraction(rng.randint(den // 2, den), den)
     return validate_space([f"p{i:02d}" for i in range(m)], d)
+
+
+def clustered_pair(rng: random.Random, pairs: int) -> tuple[Measure, Measure]:
+    """Measures on `pairs` pairs of points 1/1000 apart, mu uniform on one
+    point of each pair and nu on the other: q = 1/1000 and TV = 1, so the
+    subset oracle's prune skips only subsets with no more mu- than nu-points.
+    A pair's points lie at one distance in [1/2, 1] from every other point."""
+    far = {}
+    for a in range(pairs):
+        for b in range(a + 1, pairs):
+            far[a, b] = far[b, a] = Fraction(rng.randint(500, 1000), 1000)
+    n = 2 * pairs
+    d = [[ZERO if i == j else Fraction(1, 1000) if i // 2 == j // 2 else far[i // 2, j // 2]
+          for j in range(n)] for i in range(n)]
+    space = validate_space([f"p{i:02d}" for i in range(n)], d)
+    return (Measure.reduced(space, pairs, [1 - i % 2 for i in range(n)]),
+            Measure.reduced(space, pairs, [i % 2 for i in range(n)]))
+
+
+def prokhorov_subsets_reference(mu: Measure, nu: Measure) -> Fraction:
+    """The subset oracle's plain enumeration: every subset in mask order,
+    skipped only when mu(A) cannot pass the running maximum, and the
+    distance to A by a generator per point.  Shares ``_upward_infimum``
+    with the library, as both library routes do."""
+    space = mu.space
+    m = space.size
+    den = math.lcm(mu.den, nu.den, space.den)
+    mu_w = [w * (den // mu.den) for w in mu.nums]
+    nu_w = [w * (den // nu.den) for w in nu.nums]
+    d = [[x * (den // space.den) for x in row] for row in space.ints]
+    best = 0
+    for mask in range(1, 1 << m):
+        members = [i for i in range(m) if mask >> i & 1]
+        mu_a = sum(mu_w[i] for i in members)
+        if mu_a <= best:
+            continue  # this subset cannot force a larger epsilon
+        # points by distance to the subset; values[k] is mu(A) minus nu of
+        # the points within distance cuts[k - 1] (within 0 for k = 0)
+        by_gap = sorted((min(d[x][i] for i in members), nu_w[x]) for x in range(m))
+        cuts: list[int] = []
+        values: list[int] = []
+        near = 0
+        for gap, weight in by_gap:
+            if gap > (cuts[-1] if cuts else 0):
+                values.append(mu_a - near)
+                cuts.append(gap)
+            near += weight
+        values.append(mu_a - near)
+        lower = _upward_infimum(cuts, values)
+        if lower > best:
+            best = lower
+    return Fraction(best, den)
 
 
 def vertex_couplings(mu: Measure, nu: Measure) -> list[tuple[tuple[Fraction, ...], ...]]:

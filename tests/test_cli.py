@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +156,15 @@ class TestProkhorovCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: ") and "Traceback" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_routes_disagree_exit_three(self, tmp_path, crossing_pair, capsys, monkeypatch):
+        _, _, _, mu_file, nu_file = crossing_pair
+        monkeypatch.setattr(cli, "prokhorov_subsets", lambda mu, nu: F(1, 3))
+        out = tmp_path / "report.json"
+        assert main(["prokhorov", mu_file, nu_file, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "coupling route gives 1/2, subset route gives 1/3" in err
+        assert not out.exists()
 
     def test_space_mismatch_is_precondition(self, tmp_path, crossing_pair, capsys):
         _, mu, _, mu_file, _ = crossing_pair
@@ -538,6 +548,33 @@ class TestEmit:
         assert main(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
+
+    def test_out_fifo_is_written_not_renamed_over(self, tmp_path, crossing_pair, capsys):
+        _, _, _, mu_file, nu_file = crossing_pair
+        argv = ["prokhorov", mu_file, nu_file]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        fifo = tmp_path / "report"
+        os.mkfifo(fifo)
+        os.link(fifo, tmp_path / "spare")  # the FIFO's second name, to release the reader
+        got = []
+
+        def read():
+            with open(fifo, "rb") as pipe:
+                got.append(pipe.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            assert main(argv + ["--out", str(fifo)]) == 0
+            reader.join(timeout=10)
+        finally:
+            if reader.is_alive():  # the report never came through the FIFO
+                open(tmp_path / "spare", "wb").close()
+                reader.join()
+        assert got == [printed.encode()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.fixture
