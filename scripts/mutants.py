@@ -75,7 +75,7 @@ MUTANTS = [
     ("verify-right-endpoint-law-at-zero", LIFTING,
      "laws[-1] == target.eval(ONE)", "laws[-1] == target.eval(ZERO)", ["tests/test_cli.py"]),
     ("kyfan-mass-invariant-off", "src/pathlift/randomvars.py",
-     "or sum(map(sum, masses)) != den:", "and False:", ["tests/test_randomvars.py"]),
+     "or sum(masses) != den:", "and False:", ["tests/test_randomvars.py"]),
     # the exit-code decision of lift, relift and verify at its bound
     ("lift-decay-double-budget", CLI,
      "all(d <= b for d, b in", "all(d <= 2 * b for d, b in", ["tests/test_cli.py"]),
@@ -87,6 +87,12 @@ MUTANTS = [
     ("subsets-prune-double-best", "src/pathlift/prokhorov.py",
      "if excess <= best:", "if excess <= 2 * best:", ["tests/test_prokhorov.py"]),
     ("prokhorov-oracle-guard-off", CLI, "if oracle != value:", "if False:", ["tests/test_cli.py"]),
+    # the cube's law check: its exit code, and the prefix mixtures it compares with
+    ("cube-exit-ignores-law-gap", CLI,
+     "return 3 if any(gaps) else 0", "return 0", ["tests/test_cli.py"]),
+    ("cube-mix-toward-previous-corner", CUBE,
+     "self.corners[len(prefix)]", "self.corners[len(prefix) - 1]",
+     ["tests/test_cube.py"]),
     # the cube's rho rules: 0 past a later coordinate 1, rho_apart past later 0s
     ("cube-zero-rule-on-a-later-zero", CUBE,
      "ZERO if per_axis - 1 in rest", "ZERO if 0 in rest", ["tests/test_cube.py"]),

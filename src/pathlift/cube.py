@@ -6,26 +6,27 @@ coordinate in turn.  The lifting follows the same recursion: the value
 at (t_1, ..., t_k) is the segment lift from the value at
 (t_1, ..., t_{k-1}) to the canonical variable of the next corner, taken
 at t_k; the empty prefix holds the canonical variable of the first
-corner.  Each prefix point keeps its segment lift, which serves every
-point below it.  So rho between two points that differ only in t_a
-often needs no evaluation.  If some later coordinate t_j (j > a) is 1,
-the value at (t_1, ..., t_j) is the canonical variable of m_{j+1} at
-both points, and the recursion from there is the same: one variable,
-rho 0.  If every later coordinate is 0, each segment lift below is taken
-at its stored start, so both values are the segment lift at
-(t_1, ..., t_{a-1}) taken at t_a and t_a', and rho is its closed form
+corner.  Each prefix point keeps its segment lift and its mixture,
+which serve every point below it.  So rho between two points that
+differ only in t_a often needs no evaluation.  If some later coordinate
+t_j (j > a) is 1, the value at (t_1, ..., t_j) is the canonical variable
+of m_{j+1} at both points, and the recursion from there is the same:
+one variable, rho 0.  If every later coordinate is 0, each segment lift
+below is taken at its stored start, so both values are the segment lift
+at (t_1, ..., t_{a-1}) taken at t_a and t_a', and rho is its closed form
 ``rho_apart``; the last axis is the case with no later coordinate.
 A point's coordinates are read once, as the ``_unit`` pairs that key prefixes.
-``cube_grid`` applies both rules over a uniform grid and runs
-``kyfan_rho`` only on the other neighbour pairs.  The pointwise law
-equals the interpolation exactly at every rational point.
+``cube_grid`` applies both rules over a uniform grid, each closed form
+once per prefix, and runs ``kyfan_rho`` only on the other neighbour
+pairs.  The pointwise law equals the interpolation exactly at every
+rational point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .errors import PreconditionError
@@ -50,6 +51,19 @@ class CubeInterpolation:
     def dimension(self) -> int:
         return len(self.corners) - 1
 
+    @cached_property
+    def _mixtures(self) -> dict[tuple[tuple[int, int], ...], Measure]:
+        """The mixture at each prefix point queried so far: the first corner at the empty one."""
+        return {(): self.corners[0]}
+
+    def mix(self, prefix: tuple[tuple[int, int], ...]) -> Measure:
+        """The value at its own prefix mixed toward the next corner, at ``_check_point`` pairs."""
+        acc = self._mixtures.get(prefix)
+        if acc is None:
+            acc = _mix(self.mix(prefix[:-1]), self.corners[len(prefix)], *prefix[-1])
+            self._mixtures[prefix] = acc
+        return acc
+
 
 def _check_point(interp: CubeInterpolation, ts) -> tuple[tuple[int, int], ...]:
     """The point's coordinates, each read once by ``_unit``: reduced pairs (p, q)."""
@@ -63,10 +77,7 @@ def _check_point(interp: CubeInterpolation, ts) -> tuple[tuple[int, int], ...]:
 
 def g_eval(interp: CubeInterpolation, ts) -> Measure:
     """Nested affine mixture of the corners at the given point."""
-    acc = interp.corners[0]
-    for (p, q), corner in zip(_check_point(interp, ts), interp.corners[1:]):  # one space
-        acc = _mix(acc, corner, p, q)
-    return acc
+    return interp.mix(_check_point(interp, ts))
 
 
 @dataclass(frozen=True)
@@ -119,13 +130,17 @@ def cube_grid(lift: CubeLift, per_axis: int) -> tuple[list, list[Fraction], list
     values = [lift.eval(point) for point in points]
     gaps = [prokhorov(law(v), g_eval(lift.interp, p)) for v, p in zip(values, points)]
 
+    @cache
+    def apart(prefix):  # rho one cell apart on the segment lift at a prefix, by its indices
+        return lift.segment(tuple(units[i] for i in prefix)).rho_apart(1, per_axis - 1)
+
     def rho(k, a):
         # a later coordinate 1 puts both ends on one corner's variable; with every later
         # coordinate 0 both are one cell apart on the segment lift at k's prefix before a
         rest, j = indices[k][a + 1:], k + strides[a]
         if any(rest):
             return ZERO if per_axis - 1 in rest else kyfan_rho(values[k], values[j])
-        return lift.segment(tuple(units[i] for i in indices[k][:a])).rho_apart(1, per_axis - 1)
+        return apart(indices[k][:a])
 
     adjacent = [
         (k, k + strides[a], rho(k, a))

@@ -76,32 +76,33 @@ def transfer_blocks(
     space: FiniteMetricSpace,
     den: int,
     pieces: Sequence[Piece],
-    masses: Sequence[Sequence[int]],
+    masses: Sequence[int],
     num: int,
     q: int,
 ) -> SimpleRandomVariable:
-    """Rearranged variable after moving mass s * masses[i][j] per cell.
+    """Rearranged variable after moving mass s * masses[i * m + j] per cell.
 
-    Pieces and masses are over den, s = num / q; one walk over the pieces,
-    over den * q, with one "mass still to move" counter per cell: the
-    leftmost s * masses[i][j] of cell (i, j) takes value j, the rest
-    keeps value i.  Diagonal cells never move.
+    Pieces and flat masses are over den, s = num / q; one walk over the
+    pieces, over den * q, with one "mass still to move" counter per cell:
+    the leftmost s * masses[i * m + j] of cell (i, j) takes value j, the
+    rest keeps value i.  Diagonal cells never move.
     """
-    to_move = [[w * num for w in row] for row in masses]
+    m = space.size
+    to_move = [w * num for w in masses]
     slabs = []
     left = 0
     for right, i, j in pieces:
         right *= q
-        rest = to_move[i][j] if i != j else 0
+        rest = to_move[i * m + j] if i != j else 0
         if not rest:
             slabs.append((right, i))
         elif rest >= right - left:
             slabs.append((right, j))
-            to_move[i][j] = rest - (right - left)
+            to_move[i * m + j] = rest - (right - left)
         else:
             slabs.append((left + rest, j))
             slabs.append((right, i))
-            to_move[i][j] = 0
+            to_move[i * m + j] = 0
         left = right
     return SimpleRandomVariable.from_slabs(space, den * q, slabs)
 
@@ -122,7 +123,7 @@ class SegmentLift:
         return refinement(self.x, self.y)
 
     @cached_property
-    def masses(self) -> tuple[tuple[int, ...], ...]:
+    def masses(self) -> list[int]:
         return cell_masses(self.space.size, self.refinement[1])
 
     @cached_property

@@ -63,18 +63,19 @@ def _upward_infimum(cuts: list[int], values: list[int]) -> int:
 
 
 def _level_tails(levels, mass) -> list[int]:
-    """Integer tail masses mass{d >= cut} per distance level, then a closing 0."""
+    """Tail masses mass{d >= cut} of a flat mass list per distance level, then a closing 0."""
     tails = [0] * (len(levels) + 1)
     for k in range(len(levels) - 1, -1, -1):
-        tails[k] = tails[k + 1] + sum(mass[i][j] for i, j in levels[k][1])
+        tails[k] = tails[k + 1] + sum(map(mass.__getitem__, levels[k][1]))
     return tails
 
 
 def _kyfan_from_tails(space, tails: list[int], den: int) -> Fraction:
     """The Ky Fan infimum of tail masses over den; tails and distances over one lcm."""
     unit = math.lcm(den, space.den)
-    cuts = [cut * (unit // space.den) for cut, _ in space.distance_levels]
-    return Fraction(_upward_infimum(cuts, [v * (unit // den) for v in tails]), unit)
+    step, scale = unit // space.den, unit // den
+    cuts = [cut * step for cut, _ in space.distance_levels]
+    return Fraction(_upward_infimum(cuts, [v * scale for v in tails]), unit)
 
 
 def kyfan_functional(pi: CouplingMatrix) -> Fraction:
@@ -83,7 +84,8 @@ def kyfan_functional(pi: CouplingMatrix) -> Fraction:
     One descending sweep over the levels sums the integer tails
     pi{d >= cut}: O(m^2) per call.
     """
-    return _kyfan_from_tails(pi.space, _level_tails(pi.space.distance_levels, pi.ints), pi.den)
+    flat = [w for row in pi.ints for w in row]
+    return _kyfan_from_tails(pi.space, _level_tails(pi.space.distance_levels, flat), pi.den)
 
 
 def _tv_sum(mu: Measure, nu: Measure) -> int:
@@ -208,8 +210,8 @@ def prokhorov_coupling(mu: Measure, nu: Measure) -> tuple[Fraction, CouplingMatr
             break  # candidates only grow with the interval's left edge
         # edges with d <= lo are available throughout (lo, hi]
         if k > 0:
-            for i, j in levels[k - 1][1]:
-                state.allow(i, j)
+            for cell in levels[k - 1][1]:
+                state.allow(*divmod(cell, m))
         routed = state.maximize()
         cand = max(lo, (den - routed) * scale)
         if (hi is None or cand <= hi) and (best is None or cand < best[0]):

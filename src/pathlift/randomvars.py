@@ -106,41 +106,43 @@ def refinement(x: SimpleRandomVariable, y: SimpleRandomVariable) -> tuple[int, l
     because each cut changes the label of x or of y.
     """
     den = math.lcm(x.den, y.den)
-    xc, yc = ([cut * (den // v.den) for cut in v.cuts] for v in (x, y))
-    xl, yl = x.labels, y.labels
+    sx, sy = den // x.den, den // y.den  # each cut is scaled as the walk reads it
+    xc, yc, xl, yl = x.cuts, y.cuts, x.labels, y.labels
     pieces: list[Piece] = []
     p = q = 0
-    n = len(xl)
-    while p < n:
-        a, b = xc[p + 1], yc[q + 1]
+    a, b = xc[1] * sx, yc[1] * sy
+    while True:
         if a < b:
             pieces.append((a, xl[p], yl[q]))
             p += 1
-        elif b < a:
+            a = xc[p + 1] * sx
+        else:  # b ends the piece, and on a tie a ends with it
             pieces.append((b, xl[p], yl[q]))
+            if b == den:
+                return den, pieces
+            if a == b:
+                p += 1
+                a = xc[p + 1] * sx
             q += 1
-        else:
-            pieces.append((a, xl[p], yl[q]))
-            p += 1
-            q += 1
-    return den, pieces
+            b = yc[q + 1] * sy
 
 
-def cell_masses(m: int, pieces: Sequence[Piece]) -> tuple[tuple[int, ...], ...]:
-    """measure(x = i and y = j) for all i, j, over the refinement's den."""
-    mass = [[0] * m for _ in range(m)]
+def cell_masses(m: int, pieces: Sequence[Piece]) -> list[int]:
+    """measure(x = i and y = j) at i * m + j for all i, j, over the refinement's den."""
+    mass = [0] * (m * m)
     left = 0
     for right, i, j in pieces:
-        mass[i][j] += right - left
+        mass[i * m + j] += right - left
         left = right
-    return tuple(tuple(row) for row in mass)
+    return mass
 
 
 def joint_coupling(x: SimpleRandomVariable, y: SimpleRandomVariable) -> CouplingMatrix:
     """Joint mass matrix measure(A_i & B_j); couples law(x) with law(y)."""
     same_space(x.space, y.space)
     den, pieces = refinement(x, y)
-    return CouplingMatrix.reduced(x.space, den, cell_masses(x.space.size, pieces))
+    m, masses = x.space.size, cell_masses(x.space.size, pieces)
+    return CouplingMatrix.reduced(x.space, den, [masses[i : i + m] for i in range(0, m * m, m)])
 
 
 def kyfan_rho(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Fraction:
@@ -148,7 +150,7 @@ def kyfan_rho(x: SimpleRandomVariable, y: SimpleRandomVariable) -> Fraction:
     same_space(x.space, y.space)
     den, pieces = refinement(x, y)
     masses = cell_masses(x.space.size, pieces)
-    if any(w < 0 for row in masses for w in row) or sum(map(sum, masses)) != den:
+    if min(masses) < 0 or sum(masses) != den:
         raise InvariantError("joint cell masses of two variables do not sum to 1")
     return _kyfan_from_tails(x.space, _level_tails(x.space.distance_levels, masses), den)
 

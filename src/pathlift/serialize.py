@@ -390,10 +390,10 @@ def load_json(path: str) -> Any:
 
 
 def write_json_atomic(path: str, obj: Any) -> None:
-    """Write obj as JSON to a temporary file and rename it to path, so that
-    path never holds half a report.  A path that exists and is not a
-    regular file (a FIFO, a device) is written in place, not renamed over."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write obj as JSON to a temporary file renamed over path, or over the
+    file a symlink at path names, so no reader sees half a report.  An existing
+    path that is not a regular file (a FIFO, a device) is written in place."""
+    target = os.path.realpath(path)
     umask = os.umask(0)  # read by setting and restoring: the CLI is single-threaded
     os.umask(umask)
     try:
@@ -405,12 +405,12 @@ def write_json_atomic(path: str, obj: Any) -> None:
             with open(path, "w", encoding="utf-8") as out:
                 out.write(dumps(obj))
             return
-        handle, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        handle, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
         try:
             with os.fdopen(handle, "w", encoding="utf-8") as out:
                 os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
                 out.write(dumps(obj))
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -4,10 +4,10 @@ All three live on one integer lattice, in lowest terms, so ``==`` is
 exact and every operation stays on integers.  A space is ``den`` and
 integer distance rows ``ints``, validated at construction with a witness
 in the error message; ``distance_levels`` holds its distinct distances
-sorted once, each with its point pairs, which the Ky Fan sweep and the
-Prokhorov max-flow walk.  A measure is ``den`` and integer ``nums``, a
-coupling ``den`` and integer rows ``ints``.  The Fraction ``dist``,
-``weights`` and ``mass`` are derived on demand.
+sorted once, each with its pairs as flat cells, which the Ky Fan sweep
+and the Prokhorov max-flow walk.  A measure is ``den`` and integer
+``nums``, a coupling ``den`` and integer rows ``ints``.  The Fraction
+``dist``, ``weights`` and ``mass`` are derived on demand.
 """
 
 from __future__ import annotations
@@ -83,16 +83,15 @@ class FiniteMetricSpace:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
 
     @cached_property
-    def distance_levels(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """The distinct positive distances in increasing order, over den,
-        each with the ordered pairs (i, j), i != j, at that distance.
+    def distance_levels(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The distinct positive distances in increasing order, over den, each
+        with the flat cells i * size + j of its ordered pairs (i, j), i != j.
         Computed once per space; equality and hashing stay on the fields."""
-        pairs: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.ints):
-            for j, x in enumerate(row):
-                if i != j:
-                    pairs.setdefault(x, []).append((i, j))
-        return tuple((x, tuple(pairs[x])) for x in sorted(pairs))
+        cells: dict[int, list[int]] = {}
+        for cell, x in enumerate(d for row in self.ints for d in row):
+            cells.setdefault(x, []).append(cell)
+        cells.pop(0)  # the diagonal: construction checks that no other distance is 0
+        return tuple((x, tuple(cells[x])) for x in sorted(cells))
 
 
 def validate_space(points: Sequence[str], dist: Sequence[Sequence[Fraction]]) -> FiniteMetricSpace:

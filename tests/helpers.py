@@ -529,6 +529,23 @@ def cube_chain_oracle(interp, ts) -> SimpleRandomVariable:
     return value
 
 
+def multiaffine_oracle(interp, ts) -> tuple[Fraction, ...]:
+    """The weights of a cube interpolation by its explicit product formula:
+    corner 0 has weight prod_k (1 - t_k), and corner j >= 1 has weight
+    t_j * prod_{k > j} (1 - t_k), coordinates t_1, ..., t_n."""
+    ts = [Fraction(t) for t in ts]
+    weights = []
+    for j in range(len(ts) + 1):
+        w = ts[j - 1] if j else ONE
+        for t in ts[j:]:
+            w *= 1 - t
+        weights.append(w)
+    return tuple(
+        sum(w * c.weights[i] for w, c in zip(weights, interp.corners))
+        for i in range(interp.space.size)
+    )
+
+
 # -- hypothesis strategies ---------------------------------------------
 
 @st.composite

@@ -511,6 +511,22 @@ class TestCubeCommand:
         assert len(calls) == expected
         assert expected == {(3, 5): 120, (2, 5): 12, (2, 3): 2}.get((dim, grid), 0)
 
+    def test_wrong_lift_value_gives_a_law_gap_and_exit_three(self, tmp_path, monkeypatch):
+        rng = random.Random(69)
+        space = gen.rand_space(rng, 3)
+        corners = [weights_to_obj(gen.rand_measure(rng, space)) for _ in range(3)]
+        cf = write(tmp_path / "corners.json", {"space": space_to_obj(space), "corners": corners})
+        eval_ = cube.CubeLift.eval
+
+        def wrong(lift, ts):  # the centre's value taken from the origin
+            return eval_(lift, (Z, Z) if tuple(ts) == (F(1, 2), F(1, 2)) else ts)
+
+        monkeypatch.setattr(cube.CubeLift, "eval", wrong)
+        out = tmp_path / "r.json"
+        assert main(["cube", cf, "--grid", "3", "--out", str(out)]) == 3
+        gaps = json.loads(out.read_text())["law_gap"]
+        assert [k for k, gap in enumerate(gaps) if gap != "0/1"] == [4]
+
     def test_dimension_cap(self, tmp_path, capsys):
         rng = random.Random(66)
         space = gen.rand_space(rng, 2)
@@ -575,6 +591,23 @@ class TestEmit:
         assert got == [printed.encode()]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["link", "dangling-link"])
+    def test_out_symlink_is_written_through(self, tmp_path, crossing_pair, capsys, dangling):
+        _, _, _, mu_file, nu_file = crossing_pair
+        argv = ["prokhorov", mu_file, nu_file]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        (tmp_path / "reports").mkdir()
+        target = tmp_path / "reports" / "target.json"
+        if not dangling:
+            target.write_text("{}")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == printed.encode()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.fixture

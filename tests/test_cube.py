@@ -21,7 +21,7 @@ from pathlift import cube
 from pathlift.cli import main
 from pathlift.serialize import dumps, space_to_obj, weights_to_obj
 
-from helpers import cube_chain_oracle
+from helpers import cube_chain_oracle, multiaffine_oracle
 
 F = Fraction
 Z = F(0)
@@ -63,6 +63,21 @@ class TestGEval:
             g_eval(interp, (F(1, 2), F(1, 2)))
         with pytest.raises(PreconditionError):
             g_eval(interp, (F(3, 2),))
+
+    def test_equals_the_product_formula_in_any_order(self):
+        """The shared prefix mixtures give the explicit multi-affine weights
+        at rational points whose prefixes repeat, queried in shuffled order."""
+        rng = random.Random(13)
+        space = gen.rand_space(rng, 4)
+        for dim in (1, 2, 3):
+            corners = tuple(gen.rand_measure(rng, space) for _ in range(dim + 1))
+            interp = CubeInterpolation(space, corners)
+            pools = [[Z, F(1)] + [F(rng.randint(1, d - 1), d) for d in (3, 7, 12)]
+                     for _ in range(dim)]
+            points = list(product(*pools))
+            rng.shuffle(points)
+            for point in points[:40]:
+                assert g_eval(interp, point).weights == multiaffine_oracle(interp, point)
 
     def test_point_check_texts_and_accepted_types(self):
         space = three_point_space()
@@ -218,6 +233,21 @@ class TestPrefixTree:
         points, gaps, adjacent = cube.cube_grid(CubeLift(CubeInterpolation(space, corners)), 5)
         assert (len(points), len(gaps), len(adjacent)) == (125, 125, 300)
         assert calls == []
+
+    def test_grid_mixes_and_takes_the_closed_form_once_per_prefix_point(self, monkeypatch):
+        mixed, apart = [], []
+        mix, rho_apart = cube._mix, SegmentLift.rho_apart
+        monkeypatch.setattr(cube, "_mix", lambda *args: mixed.append(args) or mix(*args))
+        monkeypatch.setattr(
+            SegmentLift, "rho_apart", lambda seg, *args: apart.append(args) or rho_apart(seg, *args)
+        )
+        rng = random.Random(14)
+        space = gen.rand_space(rng, 4)
+        corners = tuple(gen.rand_measure(rng, space) for _ in range(4))
+        cube.cube_grid(CubeLift(CubeInterpolation(space, corners)), 5)
+        # one mixture per prefix point, 5 + 25 + 125; one closed form per
+        # prefix that precedes a step, 1 + 5 + 25
+        assert (len(mixed), len(apart)) == (155, 31)
 
     def test_two_lifts_of_one_interpolation_agree(self):
         rng = random.Random(10)
