@@ -51,7 +51,7 @@ MUTANTS = [
     ("approximation-grid-halved", LIFTING,
      "math.ceil(2 * alpha.lipschitz / eps)", "math.ceil(alpha.lipschitz / eps)",
      ["tests/test_lifting.py"]),
-    # segment lifts, the sampled path's modulus check and screen, verify_lift's continuity
+    # segment lifts, the modulus check and screen, the grid walk, verify_lift's continuity
     ("breakpoint-ticks-not-strict", LIFTING,
      "if any(lo >= hi for lo, hi in", "if any(lo > hi for lo, hi in", ["tests/test_cli.py"]),
     ("transfer-walk-strict", LIFTING,
@@ -62,8 +62,10 @@ MUTANTS = [
      "(hi - lo) * 2 * a.den", "(hi - lo) * 4 * a.den", ["tests/test_lifting.py"]),
     ("modulus-check-whole-interval", LIFTING,
      "ln * (hi - lo) * 2", "ln * den * 2", ["tests/test_lifting.py"]),
-    ("verify-interval-index", LIFTING,
-     "lift._piece(lo, den)", "lift._piece(hi, den)", ["tests/test_lifting.py"]),
+    ("walk-advance-strict", LIFTING,
+     "ticks[i + 1] * den <= k * pd", "ticks[i + 1] * den < k * pd", ["tests/test_lifting.py"]),
+    ("verify-continuity-memo-by-width", LIFTING,
+     "(key := (i, hi - lo))", "(key := hi - lo)", ["tests/test_lifting.py"]),
     # the endpoint checks of lift_polygonal and verify_lift
     ("lift-left-endpoint-unchecked", LIFTING,
      "if law(x_start) != beta.vertices[0]:", "if False:", ["tests/test_lifting.py"]),

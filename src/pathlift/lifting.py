@@ -16,21 +16,22 @@ sweep of cached per-level tail masses scaled by their distance.
 A polygonal path of measures and its lift inherit one record,
 ``_Polygonal``: breakpoints 0 = t_0 < ... < t_n = 1 and one vertex per
 breakpoint, a measure or a random variable, checked once for both.
-Paths own time: ``spaces._unit``, the one time rule, reads t in [0, 1]
-as a reduced pair p / r; over the lcm den of the breakpoints, t lies in the
-piece of the last tick k <= p * den // r, whose mixture or segment lift
-takes t's local time there as an integer pair: 0 at a breakpoint,
-which thus returns its stored vertex (1 at t = 1).  Grids are integer
-ticks, made Fractions only where a time is stored or reported.
-``lift_polygonal`` alone checks the endpoint variables against the
-path; interior vertices are chained by matching.  A Lipschitz path of
-measures is approximated by polygonals on uniform grids, which sample
-it at 0 and 1 exactly, and lifted iteratively, each round staying
-rho-close to the previous one (the 5-epsilon rebuild), with a
-Certificate recording every verified quantity as an exact rational.
-A relift decides keep-or-rematch on laws alone, by cross-multiplying
-their weights: where the previous lift's law path equals the target at
-a grid point, its value is the match, and a max-flow runs elsewhere.
+Paths own time: ``spaces._unit``, the one time rule, reads t in [0, 1] as a
+reduced pair p / r; over the lcm den of the breakpoints, t lies in the piece
+of the last tick k <= p * den // r, one bisection, whose mixture or segment
+lift takes t's local time there as an integer pair: 0 at a breakpoint, which
+thus returns its stored vertex (1 at t = 1).  Grids are ascending integer
+ticks, read by one walk that advances the piece index, made Fractions only
+where a time is stored or reported.  ``lift_polygonal`` alone checks the
+endpoint variables against the path; interior vertices are chained by
+matching.  A Lipschitz path of measures is approximated by polygonals on
+uniform grids, which sample it at 0 and 1 exactly, and lifted iteratively,
+each round staying rho-close to the previous one (the 5-epsilon rebuild),
+with a Certificate recording every verified quantity as an exact rational,
+one continuity entry per piece and width.  A relift decides keep-or-rematch
+on laws alone, by cross-multiplying their weights: where the previous lift's
+law path equals the target at a grid point, its value is the match, and a
+max-flow runs elsewhere.
 As the segment lift from S(a) to S(b) is S on [a, b], a relift stores
 only the old breakpoints and points rematched or next to one, evaluating
 the old lift only there and at midpoints of pieces with a rematched end.
@@ -192,6 +193,15 @@ class _Polygonal:
         i = min(bisect_right(ticks, p * den // r), len(ticks) - 1) - 1
         return i, p * den - ticks[i] * r, (ticks[i + 1] - ticks[i]) * r
 
+    def _walk(self, den: int, ks: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+        """_piece(k, den) per tick k / den of ks, ascending: one piece index advanced."""
+        pd, ticks = self.ticks
+        i, last = 0, len(ticks) - 2
+        for k in ks:
+            while i < last and ticks[i + 1] * den <= k * pd:
+                i += 1
+            yield i, k * pd - ticks[i] * den, (ticks[i + 1] - ticks[i]) * den
+
 
 class PolygonalPath(_Polygonal):
     """Piecewise-affine path of measures with prescribed vertices."""
@@ -200,16 +210,20 @@ class PolygonalPath(_Polygonal):
         i, num, q = self.locate(t)
         return _mix(self.vertices[i], self.vertices[i + 1], num, q)
 
-    def _unreduced(self, den: int, ks: Sequence[int]) -> Iterator[tuple[list[int], int]]:
-        """Per tick k / den in [0, 1]: the weights as (nums, den), unreduced."""
-        for k in ks:
-            i, num, q = self._piece(k, den)
+    def _on_grid(self, den: int, ks: Sequence[int]) -> list[Measure]:
+        """eval at each tick k / den of ks, ascending, in one walk."""
+        return [_mix(*self.vertices[i : i + 2], num, q) for i, num, q in self._walk(den, ks)]
+
+    def _unreduced(self, den: int, ks: Sequence[int]) -> Iterator[tuple[Sequence[int], int]]:
+        """Per tick k / den of ks, ascending: the weights as (nums, den), unreduced."""
+        for i, num, q in self._walk(den, ks):
             a, b = self.vertices[i], self.vertices[i + 1]
             ca, cb = (q - num) * b.den, num * a.den
-            yield [ca * x + cb * y for x, y in zip(a.nums, b.nums)], q * a.den * b.den
+            yield ((a.nums, a.den) if not num  # a breakpoint: its vertex's own weights
+                   else ([ca * x + cb * y for x, y in zip(a.nums, b.nums)], q * a.den * b.den))
 
     def _differs(self, other: PolygonalPath, den: int, ks: Sequence[int]) -> list[bool]:
-        """Per tick k / den, whether self and other differ, by cross-multiplication."""
+        """Per tick k / den of ks, ascending: whether self and other differ, cross-multiplied."""
         pairs = zip(self._unreduced(den, ks), other._unreduced(den, ks))
         return [any(x * bd != y * hd for x, y in zip(hn, bn)) for (hn, hd), (bn, bd) in pairs]
 
@@ -263,6 +277,12 @@ class SampledPath:
                 )
         path.backbone = beta
         return path
+
+    def _on_grid(self, den: int, ks: Sequence[int]) -> list[Measure]:
+        """eval at each tick k / den of ks, ascending: a backbone's in one walk."""
+        if self.backbone is None:  # eval spot-checks a bare fn's values
+            return [self.eval(Fraction(k, den)) for k in ks]
+        return self.backbone._on_grid(den, ks)
 
     def eval(self, t: Fraction) -> Measure:
         t = _time(t)
@@ -354,8 +374,7 @@ def approximate_polygonal(alpha: SampledPath, eps: Fraction) -> PolygonalPath:
         raise PreconditionError("approximation tolerance must be positive")
     n_seg = max(1, math.ceil(2 * alpha.lipschitz / eps))
     bps = tuple(Fraction(i, n_seg) for i in range(n_seg + 1))
-    verts = tuple(alpha.eval(t) for t in bps)
-    return PolygonalPath(alpha.space, bps, verts)
+    return PolygonalPath(alpha.space, bps, tuple(alpha._on_grid(n_seg, range(n_seg + 1))))
 
 
 def _refined_grid(prev: LiftedPath, beta: PolygonalPath, eps: Fraction) -> tuple[int, list[int]]:
@@ -471,7 +490,7 @@ def verify_lift(
     points lie in one piece and each continuity entry is rho between
     their local times in its segment lift: nondecreasing in their
     distance, so it bounds rho between any two times of its grid
-    interval.  Laws and endpoints are evaluated.
+    interval, computed once per piece and width; each path is walked once.
 
     With ``endpoints`` given, endpoint_ok compares the lift's endpoint
     variables to the prescribed ones exactly; otherwise it compares
@@ -483,22 +502,23 @@ def verify_lift(
     if isinstance(target, PolygonalPath):
         sources.append(target.ticks)
     den, ks = _union(sources)
-    grid = _times(den, ks)
-    values = [lift.eval(t) for t in grid]
+    walk, segments = list(lift._walk(den, ks)), lift.segments
+    values = [segments[i]._at(num, q) for i, num, q in walk]
     laws = [law(v) for v in values]
-    gaps = [prokhorov(lw, target.eval(t)) for t, lw in zip(grid, laws)]
-    # the grid holds every breakpoint: an interval lies in the piece i of its
-    # left end, its two local times (hi - lo) / den over the piece's length apart
-    continuity = []
-    for lo, hi in zip(ks, ks[1:]):
-        i, _, q = lift._piece(lo, den)
-        continuity.append(lift.segments[i].rho_apart((hi - lo) * lift.ticks[0], q))
+    gaps = [prokhorov(lw, mu) for lw, mu in zip(laws, target._on_grid(den, ks))]
+    # the grid holds every breakpoint: an interval lies in the piece i of its left end,
+    # its local times (hi - lo) / den over the piece's length apart; one entry per i, hi - lo
+    continuity, memo = [], {}
+    for (i, _, q), lo, hi in zip(walk, ks, ks[1:]):
+        if (key := (i, hi - lo)) not in memo:
+            memo[key] = segments[i].rho_apart((hi - lo) * lift.ticks[0], q)
+        continuity.append(memo[key])
     if endpoints is not None:
         endpoint_ok = (values[0] == endpoints[0], values[-1] == endpoints[1])
     else:
         endpoint_ok = (laws[0] == target.eval(ZERO), laws[-1] == target.eval(ONE))
     return Certificate(
-        grid=tuple(grid),
+        grid=tuple(_times(den, ks)),
         max_law_gap=max(gaps),
         continuity_table=tuple(continuity),
         endpoint_ok=endpoint_ok,

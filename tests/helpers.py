@@ -16,9 +16,11 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from pathlift import (
+    Certificate,
     CouplingMatrix,
     LiftedPath,
     Measure,
+    PolygonalPath,
     PreconditionError,
     SampledPath,
     SegmentLift,
@@ -27,10 +29,12 @@ from pathlift import (
     kyfan_rho,
     law,
     mixture,
+    prokhorov,
     prokhorov_coupling,
     realize_coupling,
     validate_space,
 )
+from pathlift import lifting
 from pathlift.omega import IntervalSet
 from pathlift.prokhorov import _upward_infimum
 from pathlift.serialize import parse_frac
@@ -516,6 +520,29 @@ def verify_grid_oracle(grid_n: int, *breakpoint_sets) -> list[Fraction]:
     for bps in breakpoint_sets:
         points.update(bps)
     return sorted(points)
+
+
+def verify_lift_reference(lift, target, grid_n, endpoints=None, decay_table=()) -> Certificate:
+    """verify_lift by the per-point route: one ``eval`` of the lift and of the
+    target per grid point, and one ``rho_apart`` per grid interval, its piece
+    found by ``_piece`` at the interval's left tick."""
+    sources = [(grid_n - 1, range(grid_n)), lift.ticks]
+    if isinstance(target, PolygonalPath):
+        sources.append(target.ticks)
+    den, ks = lifting._union(sources)
+    grid = lifting._times(den, ks)
+    values = [lift.eval(t) for t in grid]
+    laws = [law(v) for v in values]
+    gaps = [prokhorov(lw, target.eval(t)) for t, lw in zip(grid, laws)]
+    continuity = []
+    for lo, hi in zip(ks, ks[1:]):
+        i, _, q = lift._piece(lo, den)
+        continuity.append(lift.segments[i].rho_apart((hi - lo) * lift.ticks[0], q))
+    if endpoints is not None:
+        endpoint_ok = (values[0] == endpoints[0], values[-1] == endpoints[1])
+    else:
+        endpoint_ok = (laws[0] == target.eval(ZERO), laws[-1] == target.eval(ONE))
+    return Certificate(tuple(grid), max(gaps), tuple(continuity), endpoint_ok, decay_table)
 
 
 def cube_chain_oracle(interp, ts) -> SimpleRandomVariable:

@@ -21,6 +21,7 @@ from helpers import (
     space_with,
     times_around,
     verify_grid_oracle,
+    verify_lift_reference,
 )
 from pathlift import (
     LiftedPath,
@@ -603,6 +604,32 @@ class TestApproximatePolygonal:
         with pytest.raises(PreconditionError):
             approximate_polygonal(SampledPath(space, beta.eval, F(1)), Z)
 
+    def test_grid_reads_eval_only_for_a_bare_fn(self):
+        """A backbone's grid is one walk with no eval; a bare fn's is one eval per
+        grid point, each spot-checked against the declared modulus."""
+        rng = random.Random(23)
+        space = gen.rand_space(rng, 3)
+        beta = gen.rand_polygonal(rng, space, 5)
+        backbone = SampledPath.from_polygonal(beta)
+
+        bare = SampledPath(space, beta.eval, backbone.lipschitz)
+
+        def spy():
+            original = SampledPath.eval
+            return mock.patch.object(SampledPath, "eval", autospec=True, side_effect=original)
+
+        with spy() as calls:
+            walked = approximate_polygonal(backbone, F(1, 2))
+        assert calls.call_count == 0
+        with spy() as calls:
+            evaluated = approximate_polygonal(bare, F(1, 2))
+        assert calls.call_count == len(evaluated.breakpoints) > 2
+        assert evaluated == walked
+        two = two_point_space()
+        jump = PolygonalPath(two, (Z, F(1)), (dirac(two, "a"), dirac(two, "b")))
+        with pytest.raises(PreconditionError, match=r"declared Lipschitz constant 1/10 violated"):
+            approximate_polygonal(SampledPath(two, jump.eval, F(1, 10)), F(1, 10))
+
 
 @st.composite
 def relift_cases(draw):
@@ -960,6 +987,31 @@ class TestVerifyLift:
         with pytest.raises(PreconditionError):
             verify_lift(lift, beta, grid_n=1)
 
+    def test_matches_the_per_point_route(self):
+        """verify_lift equals the per-point route on polygonal, backbone and bare-fn
+        targets, over a lift whose pieces differ in length (so one grid width
+        spans pieces of different rates) and grids that hit every breakpoint of
+        the lift or none inside."""
+        rng = random.Random(53)
+        space = gen.rand_space(rng, 3)
+        bps = (Z, F(1, 4), F(1, 3), F(1, 2), F(1))
+        lift = lift_of(PolygonalPath(space, bps, tuple(gen.rand_measure(rng, space) for _ in bps)))
+        assert len(set(lift.segments)) == len(lift.segments)
+        target = gen.rand_polygonal(rng, space, 4)
+        modulus = SampledPath.from_polygonal(target).lipschitz
+        targets = (
+            lambda: target,
+            lambda: SampledPath.from_polygonal(target),
+            lambda: SampledPath(space, target.eval, modulus),
+        )
+        ends = (lift.vertices[0], lift.vertices[-1])
+        for grid_n in (13, 6):  # ticks k / 12 hold every breakpoint; k / 5 no inner one
+            for make in targets:
+                for kw in ({}, {"endpoints": ends, "decay_table": (F(1, 7),)}):
+                    cert = verify_lift(lift, make(), grid_n, **kw)
+                    assert cert == verify_lift_reference(lift, make(), grid_n, **kw)
+            assert len(set(cert.continuity_table)) > 1
+
 
 def polygonal_on(bps):
     """A polygonal on the two-point space with these breakpoints."""
@@ -1033,6 +1085,35 @@ class TestIntegerTimeAxis:
             with mock.patch.object(SegmentLift, "_at", lambda seg, n, d: (seg, F(n, d))):
                 seg, s = lift.eval(t)
                 assert seg is lift.segments[idx] and s == local
+
+    @given(breakpoint_tuples(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_walk_matches_the_piece_lookup(self, bps, data):
+        """The ordered walk yields _piece's (i, num, q) at every tick, over a den
+        coarser or finer than the breakpoints' lcm, on and off the breakpoints."""
+        beta = polygonal_on(bps)
+        pd, ticks = beta.ticks
+        den = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 3).map(lambda c: c * pd)))
+        ks = data.draw(st.sets(st.integers(0, den), max_size=30))
+        if data.draw(st.booleans()):  # every breakpoint on the grid, 0 and 1 among them
+            ks |= {k * den // pd for k in ticks if k * den % pd == 0}
+        ks = sorted(ks)
+        assert list(beta._walk(den, ks)) == [beta._piece(k, den) for k in ks]
+        assert list(lift_of(beta)._walk(den, ks)) == list(beta._walk(den, ks))
+
+    @given(breakpoint_tuples(), st.integers(1, 30), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_grid_values_match_eval(self, bps, den, data):
+        """_on_grid is eval per tick for a polygonal, a backbone and a bare fn,
+        and a bare fn's grid goes through its spot-checked memo."""
+        beta = polygonal_on(bps)
+        ks = sorted(data.draw(st.sets(st.integers(0, den), min_size=1, max_size=12)))
+        expected = [beta.eval(F(k, den)) for k in ks]
+        backbone = SampledPath.from_polygonal(beta)
+        bare = SampledPath(beta.space, beta.eval, backbone.lipschitz)
+        for path in (beta, backbone, bare):
+            assert path._on_grid(den, ks) == expected
+        assert backbone._times == [] and len(bare._times) == len(ks)
 
     @given(breakpoint_tuples(), breakpoint_tuples(), st.integers(2, 40))
     @example((Z, F(1, 3), F(1)), (Z, F(1)), 3)  # 1/2 lies within 1/3 right of 1/3
