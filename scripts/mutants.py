@@ -66,16 +66,26 @@ MUTANTS = [
      "ticks[i + 1] * den <= k * pd", "ticks[i + 1] * den < k * pd", ["tests/test_lifting.py"]),
     ("verify-continuity-memo-by-width", LIFTING,
      "(key := (i, hi - lo))", "(key := hi - lo)", ["tests/test_lifting.py"]),
+    # verify_lift's laws: each piece's marginals, and prokhorov where the laws differ
+    ("verify-marginal-rows-off", LIFTING,
+     "if any(rows) or any(cols):", "if any(cols):", ["tests/test_lifting.py"]),
+    ("verify-marginal-cols-off", LIFTING,
+     "if any(rows) or any(cols):", "if any(rows):", ["tests/test_lifting.py"]),
+    ("verify-law-screen-off", LIFTING,
+     "if differs else ZERO", "if False else ZERO",
+     ["tests/test_golden.py", "tests/test_lifting.py"]),
     # the endpoint checks of lift_polygonal and verify_lift
     ("lift-left-endpoint-unchecked", LIFTING,
      "if law(x_start) != beta.vertices[0]:", "if False:", ["tests/test_lifting.py"]),
     ("lift-right-endpoint-unchecked", LIFTING,
      "if law(x_end) != beta.vertices[-1]:", "if False:", ["tests/test_lifting.py"]),
     ("verify-endpoint-variables-by-law", LIFTING,
-     "(values[0] == endpoints[0], values[-1] == endpoints[1])",
-     "(laws[0] == law(endpoints[0]), laws[-1] == law(endpoints[1]))", ["tests/test_cli.py"]),
+     "(lift.vertices[0] == endpoints[0], lift.vertices[-1] == endpoints[1])",
+     "(have.vertices[0] == law(endpoints[0]), have.vertices[-1] == law(endpoints[1]))",
+     ["tests/test_cli.py"]),
     ("verify-right-endpoint-law-at-zero", LIFTING,
-     "laws[-1] == target.eval(ONE)", "laws[-1] == target.eval(ZERO)", ["tests/test_cli.py"]),
+     "have.vertices[-1] == target.eval(ONE)", "have.vertices[-1] == target.eval(ZERO)",
+     ["tests/test_cli.py"]),
     ("kyfan-mass-invariant-off", "src/pathlift/randomvars.py",
      "or sum(masses) != den:", "and False:", ["tests/test_randomvars.py"]),
     # the exit-code decision of lift, relift and verify at its bound

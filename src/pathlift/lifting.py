@@ -28,10 +28,11 @@ matching.  A Lipschitz path of measures is approximated by polygonals on
 uniform grids, which sample it at 0 and 1 exactly, and lifted iteratively,
 each round staying rho-close to the previous one (the 5-epsilon rebuild),
 with a Certificate recording every verified quantity as an exact rational,
-one continuity entry per piece and width.  A relift decides keep-or-rematch
-on laws alone, by cross-multiplying their weights: where the previous lift's
-law path equals the target at a grid point, its value is the match, and a
-max-flow runs elsewhere.
+one continuity entry per piece and width.  A relift's keep-or-rematch and a
+certificate's law gaps are decided on laws alone, by cross-multiplying the
+weights of the lift's law path (its laws, by each piece's marginals, checked
+once) and the target: where they agree, the relift's value is the match and
+the gap is 0, and a max-flow runs elsewhere.
 As the segment lift from S(a) to S(b) is S on [a, b], a relift stores
 only the old breakpoints and points rematched or next to one, evaluating
 the old lift only there and at midpoints of pieces with a rematched end.
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .prokhorov import _kyfan_from_tails, _level_tails, _tv_sum, prokhorov, prokhorov_coupling
 from .randomvars import (
     Piece,
@@ -222,7 +223,9 @@ class PolygonalPath(_Polygonal):
             yield ((a.nums, a.den) if not num  # a breakpoint: its vertex's own weights
                    else ([ca * x + cb * y for x, y in zip(a.nums, b.nums)], q * a.den * b.den))
 
-    def _differs(self, other: PolygonalPath, den: int, ks: Sequence[int]) -> list[bool]:
+    def _differs(
+        self, other: PolygonalPath | SampledPath, den: int, ks: Sequence[int]
+    ) -> list[bool]:
         """Per tick k / den of ks, ascending: whether self and other differ, cross-multiplied."""
         pairs = zip(self._unreduced(den, ks), other._unreduced(den, ks))
         return [any(x * bd != y * hd for x, y in zip(hn, bn)) for (hn, hd), (bn, bd) in pairs]
@@ -283,6 +286,12 @@ class SampledPath:
         if self.backbone is None:  # eval spot-checks a bare fn's values
             return [self.eval(Fraction(k, den)) for k in ks]
         return self.backbone._on_grid(den, ks)
+
+    def _unreduced(self, den: int, ks: Sequence[int]) -> Iterator[tuple[Sequence[int], int]]:
+        """_on_grid's weights as (nums, den): a backbone's unreduced, a bare fn's spot-checked."""
+        if self.backbone is None:
+            return ((v.nums, v.den) for v in self._on_grid(den, ks))
+        return self.backbone._unreduced(den, ks)
 
     def eval(self, t: Fraction) -> Measure:
         t = _time(t)
@@ -459,8 +468,8 @@ def sup_rho_on_grid(
 class Certificate:
     """Exact numeric evidence attached to a constructed lifting.
 
-    max_law_gap is the sup over the grid of the Prokhorov distance from
-    the lift's pointwise law to the target path; continuity_table lists
+    max_law_gap is the max over the grid, not the sup over [0, 1], of the
+    Prokhorov distance from the lift's law to the target; continuity_table lists
     rho between values at consecutive grid points, each bounding rho
     between any two times of its interval; endpoint_ok records the two
     endpoint checks; decay_table is the per-iteration sup-rho between
@@ -485,12 +494,14 @@ def verify_lift(
 ) -> Certificate:
     """Certificate of a lift against a target path over an exact grid.
 
-    The grid is grid_n uniform points joined with every breakpoint of
-    the lift (and of the target when polygonal), so consecutive grid
-    points lie in one piece and each continuity entry is rho between
-    their local times in its segment lift: nondecreasing in their
-    distance, so it bounds rho between any two times of its grid
-    interval, computed once per piece and width; each path is walked once.
+    The grid is grid_n uniform points joined with every breakpoint of the
+    lift (and of the target when polygonal).  The lift's laws are its law
+    path's, certified by each piece's cell-mass row and column sums
+    (InvariantError unless they are its end laws); a law gap is 0 where the
+    laws agree, cross-multiplied, and prokhorov elsewhere.  Consecutive grid
+    points lie in one piece, and each continuity entry is rho between their
+    local times in its segment lift: nondecreasing in their distance, it
+    bounds rho between any two times of its interval, once per piece and width.
 
     With ``endpoints`` given, endpoint_ok compares the lift's endpoint
     variables to the prescribed ones exactly; otherwise it compares
@@ -502,23 +513,32 @@ def verify_lift(
     if isinstance(target, PolygonalPath):
         sources.append(target.ticks)
     den, ks = _union(sources)
-    walk, segments = list(lift._walk(den, ks)), lift.segments
-    values = [segments[i]._at(num, q) for i, num, q in walk]
-    laws = [law(v) for v in values]
-    gaps = [prokhorov(lw, mu) for lw, mu in zip(laws, target._on_grid(den, ks))]
+    grid, have, segments, m = _times(den, ks), lift.law_path(), lift.segments, lift.space.size
+    # a segment's law at s is the mixture of have's end laws a, b at s exactly when its
+    # cell masses, over its refinement's den rd, have row sums a and column sums b
+    for n, (seg, a, b) in enumerate(zip(segments, have.vertices, have.vertices[1:])):
+        (rd, _), w = seg.refinement, seg.masses
+        rows = [sum(w[i * m : i * m + m]) * a.den - a.nums[i] * rd for i in range(m)]
+        cols = [sum(w[j::m]) * b.den - b.nums[j] * rd for j in range(m)]
+        if any(rows) or any(cols):
+            raise InvariantError(f"cell masses of segment {n} miss the laws of its ends")
+    gaps = [prokhorov(have.eval(t), target.eval(t)) if differs else ZERO
+            for t, differs in zip(grid, have._differs(target, den, ks))]
     # the grid holds every breakpoint: an interval lies in the piece i of its left end,
     # its local times (hi - lo) / den over the piece's length apart; one entry per i, hi - lo
     continuity, memo = [], {}
-    for (i, _, q), lo, hi in zip(walk, ks, ks[1:]):
+    for (i, _, q), lo, hi in zip(lift._walk(den, ks), ks, ks[1:]):
         if (key := (i, hi - lo)) not in memo:
             memo[key] = segments[i].rho_apart((hi - lo) * lift.ticks[0], q)
         continuity.append(memo[key])
     if endpoints is not None:
-        endpoint_ok = (values[0] == endpoints[0], values[-1] == endpoints[1])
+        endpoint_ok = (lift.vertices[0] == endpoints[0], lift.vertices[-1] == endpoints[1])
     else:
-        endpoint_ok = (laws[0] == target.eval(ZERO), laws[-1] == target.eval(ONE))
+        endpoint_ok = (
+            have.vertices[0] == target.eval(ZERO), have.vertices[-1] == target.eval(ONE)
+        )
     return Certificate(
-        grid=tuple(_times(den, ks)),
+        grid=tuple(grid),
         max_law_gap=max(gaps),
         continuity_table=tuple(continuity),
         endpoint_ok=endpoint_ok,

@@ -24,6 +24,7 @@ from helpers import (
     verify_lift_reference,
 )
 from pathlift import (
+    InvariantError,
     LiftedPath,
     Measure,
     PolygonalPath,
@@ -944,13 +945,17 @@ class TestCurvedPaths:
 
 class TestVerifyLift:
     def test_exact_lift_has_zero_gap(self):
+        """Read off the law path, with no variable built and no prokhorov run."""
         rng = random.Random(51)
         space = gen.rand_space(rng, 3)
         beta = gen.rand_polygonal(rng, space, 4)
         lift = lift_polygonal(
             beta, canonical_rv(beta.vertices[0]), canonical_rv(beta.vertices[-1])
         )
-        cert = verify_lift(lift, beta, grid_n=33)
+        with mock.patch.object(lifting, "transfer_blocks", wraps=lifting.transfer_blocks) as walk, \
+                mock.patch.object(lifting, "prokhorov", wraps=lifting.prokhorov) as gap:
+            cert = verify_lift(lift, beta, grid_n=33)
+        assert walk.call_count == 0 and gap.call_count == 0
         assert cert.max_law_gap == 0
         assert cert.endpoint_ok == (True, True)
         assert set(beta.breakpoints) <= set(cert.grid)
@@ -1191,3 +1196,61 @@ class TestIntegerTimeAxis:
             for t, vertex in zip(lift.breakpoints, lift.vertices):
                 assert lift.eval(t) is vertex
         walk.assert_not_called()
+
+
+class TestVerifyFromTheLawPath:
+    """verify_lift reads the lift's laws from its law path, certified once per
+    piece by the cell masses' marginals, and runs prokhorov only at grid ticks
+    where those laws differ from the target."""
+
+    @pytest.mark.parametrize("kept", ["rows", "columns"])
+    def test_marginal_check_fails_on_tampered_masses(self, kept):
+        """Mass moved within one row keeps the row sums and breaks two column
+        sums; within one column, the reverse: either tampering is caught."""
+        rng = random.Random(54)
+        space = gen.rand_space(rng, 3)
+        bps = (Z, F(1, 3), F(1))
+        lift = lift_of(PolygonalPath(space, bps, tuple(gen.rand_measure(rng, space) for _ in bps)))
+        beta = lift.law_path()
+        assert verify_lift(lift, beta, grid_n=7).max_law_gap == 0
+        seg, m = lift.segments[1], space.size
+        masses = list(seg.masses)
+        cell = next(c for c, w in enumerate(masses) if w)
+        i, j = divmod(cell, m)
+        other = i * m + (j + 1) % m if kept == "rows" else (i + 1) % m * m + j
+        masses[cell] -= 1
+        masses[other] += 1
+        seg.__dict__["masses"] = masses  # the cached_property's slot
+        with pytest.raises(InvariantError, match="cell masses of segment 1 miss the laws"):
+            verify_lift(lift, beta, grid_n=7)
+
+    @given(law_path_pairs(), st.integers(2, 12))
+    @example(one_path_on_two_grids(), 4)
+    @example(  # a -> b against a polygonal whose b-weight is t up to 1/3, then slower:
+        (one_path_on_two_grids()[0], polygonal_on((Z, F(1, 3), F(1)))), 7
+    )  # the laws agree on [0, 1/3] and differ after
+    @settings(max_examples=60, deadline=None)
+    def test_screen_matches_the_per_point_route(self, pair, grid_n):
+        """On a lift of have against beta, whose laws agree at some ticks and
+        differ at others, for polygonal, backbone and bare-fn targets."""
+        have, beta = pair
+        lift = lift_of(have)
+        modulus = SampledPath.from_polygonal(beta).lipschitz
+        targets = (
+            lambda: beta,
+            lambda: SampledPath.from_polygonal(beta),
+            lambda: SampledPath(beta.space, beta.eval, modulus),
+        )
+        for make in targets:
+            assert verify_lift(lift, make(), grid_n) == verify_lift_reference(lift, make(), grid_n)
+
+    def test_bare_fn_target_keeps_its_spot_checks(self):
+        """A bare fn that jumps from a to b between the grid ticks 1/4 and 1/2
+        breaks its declared modulus 1 there, and verify_lift says so."""
+        space = two_point_space()
+        a, b = dirac(space, "a"), dirac(space, "b")
+        lift = lift_of(PolygonalPath(space, (Z, F(1)), (a, b)))
+        jump = SampledPath(space, lambda t: a if t <= F(1, 3) else b, F(1))
+        message = "declared Lipschitz constant 1 violated: q(path(1/4), path(1/2)) = 1 > 1 * 1/4"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            verify_lift(lift, jump, grid_n=5)
